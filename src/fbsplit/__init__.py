@@ -13,7 +13,7 @@ cli          the ``fbsplit`` command
 """
 
 from .errors import ConfigurationError, DivergenceError
-from .linalg import LinearMap, identity, inner, norm, operator_norm
+from .linalg import LinearMap, identity, inner, operator_norm
 from .operators import (
     AffineConstraint,
     CocoerciveMap,
@@ -25,11 +25,8 @@ from .operators import (
     SmoothTerm,
     ZeroMap,
     ZeroOperator,
-    affine_projection_resolvent,
     prox_l1,
     quadratic_term,
-    zero_resolvent,
-    zero_smooth_term,
 )
 from .ffb import (
     FfbParams,

@@ -12,7 +12,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, DivergenceError
+from .errors import ConfigurationError
+from .ffb import _check_finite, _start_point
 from .linalg import as_vector
 from .operators import InclusionProblem, ZeroMap
 
@@ -148,12 +149,7 @@ def baseline_init(method: BaselineMethod, problem: InclusionProblem, z0=None, y0
     """State at k=1.  FBS takes one real step; inertial variants start with
     cleared momentum history (z_1 = z_0)."""
     method = method.resolve(problem)
-    dim = problem.dim
-    if z0 is None:
-        if dim is None:
-            raise ConfigurationError("z0 required: problem does not fix a dimension")
-        z0 = np.zeros(dim)
-    z0 = as_vector(z0, dim=dim, name="z0")
+    z0 = _start_point(problem, z0)
     gamma = method.gamma
     if method.variant == "fbs":
         z1 = problem.M.resolvent(gamma, z0 - gamma * problem.C.apply(z0))
@@ -170,9 +166,9 @@ def baseline_init(method: BaselineMethod, problem: InclusionProblem, z0=None, y0
 
 
 def baseline_step(method: BaselineMethod, state: BaselineState,
-                  problem: InclusionProblem, k=None):
+                  problem: InclusionProblem):
     """Advance ``state`` one iteration of the method's update rule."""
-    k = state.k if k is None else k
+    k = state.k
     gamma = method.gamma
     if gamma is None:
         raise ConfigurationError("method not resolved: gamma is None")
@@ -220,8 +216,7 @@ def baseline_step(method: BaselineMethod, state: BaselineState,
     else:
         raise ConfigurationError(f"unknown baseline variant {variant!r}")
 
-    if not np.all(np.isfinite(z_next)):
-        raise DivergenceError(f"non-finite iterate at k={k}", state=state)
+    _check_finite(state, z_next)
     return BaselineState(
         k=k + 1, z_prev=z, z=z_next,
         y_prev=y_prev_new, y_prev2=y_prev2_new, fb_prev=fb_prev_new,

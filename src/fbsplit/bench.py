@@ -22,6 +22,7 @@ import hashlib
 import json
 import math
 import time
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -40,18 +41,16 @@ from .ffb import (
 )
 from .linalg import LinearMap
 from .operators import (
+    AffineConstraint,
     GradientMap,
     InclusionProblem,
     L1Subdifferential,
-    affine_projection_resolvent,
     quadratic_term,
 )
 from .primal_dual import (
     PdProblem,
-    PdParams,
     certificate_residual,
     flag_default_params,
-    FlagParams,
     flag_init,
     flag_step,
     lagrangian_gap,
@@ -84,7 +83,9 @@ __all__ = [
     "records_equal",
 ]
 
-CSV_HEADER = "k,velocity,rtan,rfix,objective,feasibility,gap,ns"
+# the computed columns of a record, in CSV order between k and ns
+_QUANTITIES = ("velocity", "rtan", "rfix", "objective", "feasibility", "gap")
+CSV_HEADER = ",".join(("k",) + _QUANTITIES + ("ns",))
 
 # primal-dual methods run on the PdProblem; the rest on its inclusion form
 _PD_METHODS = ("pd", "pd_alt", "flag")
@@ -179,14 +180,16 @@ def generate_problem(m, p, n, seed):
     c = rng.standard_normal(p)
     # unit-variance scaling keeps b marginally standard normal
     x_feas = rng.standard_normal(n) / math.sqrt(n)
-    b = a_mat @ x_feas
-    A = LinearMap(a_mat)
-    h = quadratic_term(LinearMap(b_mat), c)
+    return _l1_least_squares(a_mat, a_mat @ x_feas, b_mat, c)
+
+
+def _l1_least_squares(a_mat, b, b_mat, c):
+    """min ||x||_1 + 0.5*||Bx - c||^2 subject to Ax = b."""
     return PdProblem(
         f_prox=L1Subdifferential(),
         f_value=lambda x: float(np.sum(np.abs(x))),
-        h=h,
-        A=A,
+        h=quadratic_term(LinearMap(b_mat), c),
+        A=LinearMap(a_mat),
         b=b,
     )
 
@@ -195,7 +198,7 @@ def as_inclusion(problem: PdProblem):
     """Inclusion form of the smooth part: M the constraint normal cone,
     C the gradient of h.  The nonsmooth f is dropped; zeros minimize h over
     the constraint set."""
-    M = affine_projection_resolvent(problem.A, problem.b)
+    M = AffineConstraint(problem.A, problem.b)
     return InclusionProblem(M, GradientMap(problem.h))
 
 
@@ -211,14 +214,7 @@ def save_problem(problem: PdProblem, path):
 
 def load_problem(path):
     data = np.load(path)
-    h = quadratic_term(LinearMap(data["B"]), data["c"])
-    return PdProblem(
-        f_prox=L1Subdifferential(),
-        f_value=lambda x: float(np.sum(np.abs(x))),
-        h=h,
-        A=LinearMap(data["A"]),
-        b=data["b"],
-    )
+    return _l1_least_squares(data["A"], data["b"], data["B"], data["c"])
 
 
 def problem_fingerprint(problem: PdProblem):
@@ -247,12 +243,15 @@ def default_checkpoints(iters, per_decade=50):
 
 
 class _Reference:
-    """Saddle-point reference used for the gap column."""
+    """Saddle-point reference used for the gap column, with the final
+    feasibility of the run that produced it and whether that converged."""
 
-    def __init__(self, x_star, lam_star, objective):
+    def __init__(self, x_star, lam_star, objective, feasibility, converged):
         self.x_star = x_star
         self.lam_star = lam_star
         self.objective = objective
+        self.feasibility = feasibility
+        self.converged = converged
 
 
 def _build_problem(config: ExperimentConfig):
@@ -263,46 +262,39 @@ def _build_problem(config: ExperimentConfig):
 
 def _load_reference(path):
     data = np.load(path)
-    return _Reference(data["x_star"], data["lam_star"], float(data["objective"]))
+    return _Reference(data["x_star"], data["lam_star"], float(data["objective"]),
+                      float(data["feasibility"]), bool(data["converged"]))
+
+
+def _params_from(defaults, config, *fields):
+    """``defaults`` with each of ``fields`` that ``config`` sets replaced."""
+    return dataclasses.replace(defaults, **{
+        name: getattr(config, name) for name in fields
+        if getattr(config, name) is not None
+    })
 
 
 class _InclusionDriver:
     """Uniform init/step/measure wrapper over the inclusion-form methods."""
 
     def __init__(self, config, problem):
-        if isinstance(problem, PdProblem):
-            self.pd = problem
-            self.problem = as_inclusion(problem)
-        else:
-            self.pd = None
-            self.problem = problem
+        self.pd = problem if isinstance(problem, PdProblem) else None
+        if self.pd is not None:
+            problem = as_inclusion(problem)
+        self.problem = problem
         self.method_name = config.method
-        beta = self.problem.beta
         if config.method in _FFB_METHODS:
-            self.params = FfbParams(alpha=config.alpha, gamma=config.gamma).resolve(beta)
-            self.gamma = self.params.gamma
-            self._step = ffb_step_y if config.method == "ffb" else ffb_step_xi
+            params = _params_from(FfbParams(), config, "alpha", "gamma").resolve(problem.beta)
+            step = ffb_step_y if config.method == "ffb" else ffb_step_xi
+            self.gamma = params.gamma
+            self.init = lambda: ffb_init(problem, params)
+            self.step = lambda state: step(state, problem, params)
         else:
-            kwargs = {"variant": config.method, "gamma": config.gamma}
-            if config.alpha is not None:
-                kwargs["alpha"] = config.alpha
-            if config.s is not None:
-                kwargs["s"] = config.s
-            if config.rho is not None:
-                kwargs["rho"] = config.rho
-            self.method = BaselineMethod(**kwargs).resolve(self.problem)
-            self.gamma = self.method.gamma
-            self._step = None
-
-    def init(self):
-        if self.method_name in _FFB_METHODS:
-            return ffb_init(self.problem, self.params)
-        return baseline_init(self.method, self.problem)
-
-    def step(self, state):
-        if self._step is not None:
-            return self._step(state, self.problem, self.params)
-        return baseline_step(self.method, state, self.problem)
+            method = _params_from(BaselineMethod(config.method), config,
+                                  "gamma", "alpha", "s", "rho").resolve(problem)
+            self.gamma = method.gamma
+            self.init = lambda: baseline_init(method, problem)
+            self.step = lambda state: baseline_step(method, state, problem)
 
     def measure(self, state, reference):
         rtan = (
@@ -329,34 +321,16 @@ class _PdDriver:
         self.problem = problem
         self.method_name = config.method
         if config.method == "flag":
-            defaults = flag_default_params(problem)
-            self.params = FlagParams(
-                tau=config.tau if config.tau is not None else defaults.tau,
-                r=config.r if config.r is not None else defaults.r,
-                theta=config.theta if config.theta is not None else defaults.theta,
-            ).validate()
+            params = _params_from(flag_default_params(problem), config,
+                                  "tau", "r", "theta").validate()
+            init, step = flag_init, flag_step
         else:
-            if config.tau is None and config.sigma is None:
-                self.params = pd_default_steps(config.alpha, problem)
-            else:
-                defaults = pd_default_steps(config.alpha, problem)
-                self.params = PdParams(
-                    alpha=config.alpha,
-                    tau=config.tau if config.tau is not None else defaults.tau,
-                    sigma=config.sigma if config.sigma is not None else defaults.sigma,
-                ).validate(problem)
-
-    def init(self):
-        if self.method_name == "flag":
-            return flag_init(self.problem, self.params)
-        return pd_init(self.problem, self.params)
-
-    def step(self, state):
-        if self.method_name == "flag":
-            return flag_step(state, self.problem, self.params)
-        if self.method_name == "pd_alt":
-            return pd_step_alternative(state, self.problem, self.params)
-        return pd_step(state, self.problem, self.params)
+            params = _params_from(pd_default_steps(config.alpha, problem), config,
+                                  "tau", "sigma").validate(problem)
+            init = pd_init
+            step = pd_step_alternative if config.method == "pd_alt" else pd_step
+        self.init = lambda: init(problem, params)
+        self.step = lambda state: step(state, problem, params)
 
     def measure(self, state, reference):
         gap = math.nan
@@ -476,9 +450,10 @@ def reference_solution(problem: PdProblem, budget=1_000_000, alpha=5.0,
                        cache_dir=None, feas_tol=1e-8):
     """(x*, lam*, objective*) from a long primal-dual run, cached by problem hash.
 
-    The cache record carries a ``converged`` flag that is False when the
-    final feasibility exceeds ``feas_tol``; a warning is printed but the
-    values are still returned.
+    The reference carries a ``converged`` flag that is False when the
+    final feasibility exceeds ``feas_tol``; the cache stores it along with
+    the feasibility.  An unconverged reference, computed or cached, is
+    returned with a RuntimeWarning.
     """
     if budget < 100_000:
         raise ConfigurationError("reference budget must be at least 1e5 iterations")
@@ -488,23 +463,27 @@ def reference_solution(problem: PdProblem, budget=1_000_000, alpha=5.0,
         cache_dir.mkdir(parents=True, exist_ok=True)
         key = f"{problem_fingerprint(problem)}_a{alpha:g}_b{budget}"
         cache_path = cache_dir / f"reference_{key}.npz"
-        if cache_path.exists():
-            data = np.load(cache_path)
-            return _Reference(data["x_star"], data["lam_star"], float(data["objective"]))
-    params = pd_default_steps(alpha, problem)
-    state = pd_init(problem, params)
-    while state.k < budget:
-        state = pd_step(state, problem, params)
-    feas = problem.feasibility(state.x)
-    converged = feas <= feas_tol
-    ref = _Reference(state.x, state.lam, problem.objective(state.x))
-    if cache_path is not None:
-        tmp = cache_path.with_suffix(".tmp.npz")
-        np.savez(tmp, x_star=ref.x_star, lam_star=ref.lam_star,
-                 objective=ref.objective, feasibility=feas, converged=converged)
-        tmp.replace(cache_path)
-    if not converged:
-        print(f"warning: reference feasibility {feas:.3e} above {feas_tol:.1e}")
+    if cache_path is not None and cache_path.exists():
+        ref = _load_reference(cache_path)
+    else:
+        params = pd_default_steps(alpha, problem)
+        state = pd_init(problem, params)
+        while state.k < budget:
+            state = pd_step(state, problem, params)
+        feas = problem.feasibility(state.x)
+        ref = _Reference(state.x, state.lam, problem.objective(state.x),
+                         feas, feas <= feas_tol)
+        if cache_path is not None:
+            tmp = cache_path.with_suffix(".tmp.npz")
+            np.savez(tmp, x_star=ref.x_star, lam_star=ref.lam_star,
+                     objective=ref.objective, feasibility=feas,
+                     converged=ref.converged)
+            tmp.replace(cache_path)
+    if not ref.converged:
+        warnings.warn(
+            f"reference did not converge: final feasibility {ref.feasibility:.3e}",
+            RuntimeWarning, stacklevel=2,
+        )
     return ref
 
 
@@ -538,8 +517,7 @@ def emit(records, fmt, out):
             lines.append(
                 ",".join(
                     [str(r.k)]
-                    + [_format_value(v) for v in (
-                        r.velocity, r.rtan, r.rfix, r.objective, r.feasibility, r.gap)]
+                    + [_format_value(getattr(r, q)) for q in _QUANTITIES]
                     + [str(r.ns)]
                 )
             )
@@ -551,7 +529,7 @@ def emit(records, fmt, out):
         written.append(out)
     else:
         raise ConfigurationError(f"format must be csv or json, got {fmt!r}")
-    quantities = ["velocity", "rtan", "rfix", "objective", "feasibility", "gap"]
+    quantities = list(_QUANTITIES)
     if any(r.dual_velocity is not None for r in records):
         quantities.append("dual_velocity")
     for q in quantities:
@@ -578,19 +556,9 @@ def read_records_csv(path):
         raise ValueError(f"unexpected CSV header in {path}")
     records = []
     for line in lines[1:]:
-        parts = line.split(",")
-        records.append(
-            IterationRecord(
-                k=int(parts[0]),
-                velocity=float(parts[1]),
-                rtan=float(parts[2]),
-                rfix=float(parts[3]),
-                objective=float(parts[4]),
-                feasibility=float(parts[5]),
-                gap=float(parts[6]),
-                ns=int(parts[7]),
-            )
-        )
+        k, *values, ns = line.split(",")
+        records.append(IterationRecord(
+            k=int(k), ns=int(ns), **dict(zip(_QUANTITIES, map(float, values)))))
     return records
 
 
@@ -615,7 +583,7 @@ def records_equal(lhs, rhs, ignore_dual=False):
     for a, b in zip(lhs, rhs):
         if a.k != b.k or a.ns != b.ns:
             return False
-        for name in ("velocity", "rtan", "rfix", "objective", "feasibility", "gap"):
+        for name in _QUANTITIES:
             if not _floats_equal(getattr(a, name), getattr(b, name)):
                 return False
         if not ignore_dual and not _floats_equal(a.dual_velocity, b.dual_velocity):

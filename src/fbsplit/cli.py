@@ -43,8 +43,8 @@ def _add_common(parser):
                         help="record wall-clock ns (makes output nondeterministic)")
 
 
-def _config_from(args, overrides=None, allowed_extra=()):
-    values = {}
+def _config_from(args, overrides=None, allowed_extra=(), defaults=None):
+    values = dict(defaults or {})
     if args.config:
         values.update(json.loads(Path(args.config).read_text()))
     for key in allowed_extra:
@@ -73,8 +73,7 @@ def _parse_method_token(token):
 def _run_one(config):
     result = bench.run_experiment(config)
     if config.out:
-        out = Path(config.out)
-        bench.emit(result.records, config.format, out)
+        bench.emit(result.records, config.format, config.out)
     return result
 
 
@@ -158,12 +157,13 @@ def cmd_rates(args):
 
 
 def cmd_reference(args):
-    config = _config_from(args, overrides={"method": "pd"})
-    problem = (bench.load_problem(config.problem_file) if config.problem_file
-               else bench.generate_problem(config.m, config.p, config.n, config.seed))
+    # an iteration count given by flag or config file goes through unchanged,
+    # so one below the reference floor is refused rather than replaced
+    config = _config_from(args, overrides={"method": "pd"},
+                          defaults={"iters": 1_000_000})
+    problem = bench._build_problem(config)
     cache_dir = config.out or "refcache"
-    budget = config.iters if config.iters and config.iters >= 100_000 else 1_000_000
-    ref = bench.reference_solution(problem, budget=budget, alpha=config.alpha,
+    ref = bench.reference_solution(problem, budget=config.iters, alpha=config.alpha,
                                    cache_dir=cache_dir)
     print(f"reference objective {ref.objective:.12g} cached in {cache_dir}")
     return EXIT_OK

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .ffb import FfbState, FfbParams
+from .ffb import FfbParams, FfbState, ffb_init, ffb_step_y
 from .linalg import inner
 from .operators import InclusionProblem
 
@@ -79,6 +79,10 @@ class NuConstants:
         return self.nu8 / ((k + 1.0) ** 1.5 - self.nu8)
 
 
+def _nu8(alpha, eta):
+    return (4.0 / 3.0) * (alpha - 2.0) * eta / (1.0 - 8.0 * eta / (5.0 * alpha - 2.0))
+
+
 def nu_constants(alpha, eta, epsilon, beta=None, gamma=None):
     """All decay constants for the given parameters.
 
@@ -100,7 +104,7 @@ def nu_constants(alpha, eta, epsilon, beta=None, gamma=None):
     nu5 = 3.0 * (alpha - 2.0) / (4.0 * a1)
     nu6 = (1.0 - epsilon) / (2.0 - epsilon)
     nu7 = (3.0 - 2.0 * epsilon) * alpha / (2.0 * (2.0 - epsilon))
-    nu8 = (4.0 / 3.0) * (alpha - 2.0) * eta / (1.0 - 8.0 * eta / (5.0 * alpha - 2.0))
+    nu8 = _nu8(alpha, eta)
     nu9 = None
     if beta is not None and gamma is not None:
         nu9 = (2.0 * beta - (2.0 - epsilon) * gamma) * 3.0 * (alpha - 2.0) / (8.0 * a1) * gamma
@@ -270,7 +274,7 @@ def perturbed_decrease_check(f_series, alpha, eta, start_k=1, slack=0.0):
     f = np.asarray(f_series, dtype=float)
     if f.ndim != 1 or f.size < 2:
         raise ValueError("need a 1-D series of at least two F values")
-    nu8 = (4.0 / 3.0) * (alpha - 2.0) * eta / (1.0 - 8.0 * eta / (5.0 * alpha - 2.0))
+    nu8 = _nu8(alpha, eta)
     violations = []
     for i in range(f.size - 1):
         k = start_k + i
@@ -296,8 +300,6 @@ def energy_trajectory(problem, params: FfbParams, z_star, eta, epsilon, iters,
     Returns (E, F) arrays indexed by k-1.  The extrapolation form is used
     unless another step function is supplied.
     """
-    from .ffb import ffb_init, ffb_step_y
-
     step = step or ffb_step_y
     params = params.resolve(problem.beta)
     state = ffb_init(problem, params, z0=z0, y0=y0)

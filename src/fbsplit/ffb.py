@@ -99,12 +99,15 @@ class FfbState:
     c_prev: np.ndarray
 
 
-def _momentum(alpha, k):
-    return 1.0 - alpha / (k + alpha)
+def _extrapolation_coefficients(alpha, k):
+    """Momentum 1 - a/(k+a) and correction 1 - a/(2(k+a)) at index k."""
+    return 1.0 - alpha / (k + alpha), 1.0 - alpha / (2.0 * (k + alpha))
 
 
-def _correction(alpha, k):
-    return 1.0 - alpha / (2.0 * (k + alpha))
+def _extrapolate(cur, prev, anchor, m, c):
+    """cur + m (cur - prev) + c (anchor - cur), with ``anchor`` the previous
+    extrapolated point; the primal-dual solver extrapolates both sequences."""
+    return cur + m * (cur - prev) + c * (anchor - cur)
 
 
 def _check_finite(state, *arrays):
@@ -115,15 +118,20 @@ def _check_finite(state, *arrays):
             )
 
 
-def ffb_init(problem: InclusionProblem, params: FfbParams, z0=None, y0=None):
-    """Build the state at k=1 from starting points z0, y0 (default zero)."""
-    params = params.resolve(problem.beta)
+def _start_point(problem: InclusionProblem, z0):
+    """``z0`` validated against the problem's dimension; zero by default."""
     dim = problem.dim
     if z0 is None:
         if dim is None:
             raise ConfigurationError("z0 required: problem does not fix a dimension")
         z0 = np.zeros(dim)
-    z0 = as_vector(z0, dim=dim, name="z0")
+    return as_vector(z0, dim=dim, name="z0")
+
+
+def ffb_init(problem: InclusionProblem, params: FfbParams, z0=None, y0=None):
+    """Build the state at k=1 from starting points z0, y0 (default zero)."""
+    params = params.resolve(problem.beta)
+    z0 = _start_point(problem, z0)
     y0 = z0.copy() if y0 is None else as_vector(y0, dim=z0.shape[0], name="y0")
     gamma = params.gamma
     c0 = problem.C.apply(z0)
@@ -136,12 +144,9 @@ def ffb_init(problem: InclusionProblem, params: FfbParams, z0=None, y0=None):
 
 def ffb_step_y(state: FfbState, problem: InclusionProblem, params: FfbParams):
     """Advance one iteration using the extrapolation form."""
-    k, gamma, alpha = state.k, params.gamma, params.alpha
-    y_k = (
-        state.z
-        + _momentum(alpha, k) * (state.z - state.z_prev)
-        + _correction(alpha, k) * (state.y - state.z)
-    )
+    k, gamma = state.k, params.gamma
+    m, c = _extrapolation_coefficients(params.alpha, k)
+    y_k = _extrapolate(state.z, state.z_prev, state.y, m, c)
     c_k = problem.C.apply(state.z)
     z_next = problem.M.resolvent(gamma, y_k - gamma * c_k)
     xi_next = (y_k - z_next) / gamma - c_k
@@ -157,7 +162,7 @@ def ffb_step_xi(state: FfbState, problem: InclusionProblem, params: FfbParams):
     from both forms stay interchangeable.
     """
     k, gamma, alpha = state.k, params.gamma, params.alpha
-    m = _momentum(alpha, k)
+    m, _ = _extrapolation_coefficients(alpha, k)
     w = (2.0 * k + alpha) / (2.0 * (k + alpha))
     c_k = problem.C.apply(state.z)
     t = state.xi + state.c_prev

@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 
-__all__ = ["as_vector", "inner", "norm", "LinearMap", "identity", "operator_norm"]
+__all__ = ["as_vector", "inner", "LinearMap", "identity", "operator_norm"]
 
 
 def as_vector(x, dim=None, name="vector"):
@@ -32,10 +32,6 @@ def inner(u, v):
     if u.shape != v.shape:
         raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
     return float(np.dot(u, v))
-
-
-def norm(v):
-    return float(np.linalg.norm(v))
 
 
 class LinearMap:

@@ -29,9 +29,6 @@ __all__ = [
     "QuadraticTerm",
     "ZeroSmoothTerm",
     "quadratic_term",
-    "affine_projection_resolvent",
-    "zero_resolvent",
-    "zero_smooth_term",
 ]
 
 
@@ -78,8 +75,11 @@ class AffineConstraint(ResolventOperator):
 
     def __init__(self, A: LinearMap, b):
         b = as_vector(b, dim=A.out_dim, name="b")
-        x_ls, *_ = np.linalg.lstsq(A.matrix, b, rcond=None)
-        residual = np.linalg.norm(A.apply(x_ls) - b)
+        # pinv gives the minimum-norm correction also when A is rank deficient;
+        # pinv @ b is a least-squares solution, so one SVD also decides
+        # whether the system is consistent
+        self._pinv = np.linalg.pinv(A.matrix)
+        residual = np.linalg.norm(A.apply(self._pinv @ b) - b)
         if residual > 1e-10 * max(1.0, np.linalg.norm(b)):
             raise ValueError(
                 f"inconsistent system: no x with Ax = b (residual {residual:.3e})"
@@ -87,8 +87,6 @@ class AffineConstraint(ResolventOperator):
         self.A = A
         self.b = b
         self.dim = A.in_dim
-        # pinv gives the minimum-norm correction also when A is rank deficient
-        self._pinv = np.linalg.pinv(A.matrix)
 
     def project(self, v):
         return v - self._pinv @ (self.A.apply(v) - self.b)
@@ -169,28 +167,16 @@ class ZeroSmoothTerm(SmoothTerm):
         return np.zeros_like(np.asarray(v, dtype=float))
 
 
-def quadratic_term(B: LinearMap, c, norm_tol=1e-10):
+def quadratic_term(B: LinearMap, c):
     """Build the quadratic term 0.5*||Bx-c||^2 with an estimated safe modulus.
 
     beta = 0.999 / ||B||^2 with the norm from power iteration; the shrink
     keeps step-size rules strictly inside their admissible ranges even when
     the norm estimate is marginally low.
     """
-    n = operator_norm(B, tol=norm_tol)
+    n = operator_norm(B)
     beta = math.inf if n == 0.0 else 0.999 / (n * n)
     return QuadraticTerm(B, c, beta)
-
-
-def affine_projection_resolvent(A: LinearMap, b):
-    return AffineConstraint(A, b)
-
-
-def zero_resolvent():
-    return ZeroOperator()
-
-
-def zero_smooth_term(dim=None):
-    return ZeroSmoothTerm(dim)
 
 
 class InclusionProblem:

@@ -29,7 +29,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, DivergenceError
+from .errors import ConfigurationError
+from .ffb import _check_finite, _extrapolate, _extrapolation_coefficients
 from .linalg import LinearMap, as_vector, inner, operator_norm
 from .operators import ResolventOperator, SmoothTerm
 
@@ -162,14 +163,6 @@ class PdState:
     grad_prev: np.ndarray
 
 
-def _momentum(alpha, k):
-    return 1.0 - alpha / (k + alpha)
-
-
-def _correction(alpha, k):
-    return 1.0 - alpha / (2.0 * (k + alpha))
-
-
 def pd_init(problem: PdProblem, params: PdParams, x0=None, v0=None,
             lam0=None, eta0=None):
     """State at k=1 from starting points (defaults all zero)."""
@@ -191,23 +184,17 @@ def pd_init(problem: PdProblem, params: PdParams, x0=None, v0=None,
     return state
 
 
-def _check_finite(state, *arrays):
-    for a in arrays:
-        if not np.all(np.isfinite(a)):
-            raise DivergenceError(f"non-finite iterate at k={state.k}", state=state)
-
-
 def pd_step(state: PdState, problem: PdProblem, params: PdParams):
     """One iteration of the four-line update."""
     k, alpha, tau, sigma = state.k, params.alpha, params.tau, params.sigma
-    m_c, c_c = _momentum(alpha, k), _correction(alpha, k)
+    m_c, c_c = _extrapolation_coefficients(alpha, k)
     if state.v is None or state.dual_extrap is None:
         raise ConfigurationError(
             "state lacks extrapolation points; it was produced by the "
             "alternative stepper"
         )
-    v_k = state.x + m_c * (state.x - state.x_prev) + c_c * (state.v - state.x)
-    eta_k = state.lam + m_c * (state.lam - state.lam_prev) + c_c * (state.dual_extrap - state.lam)
+    v_k = _extrapolate(state.x, state.x_prev, state.v, m_c, c_c)
+    eta_k = _extrapolate(state.lam, state.lam_prev, state.dual_extrap, m_c, c_c)
     g_k = problem.h.gradient(state.x)
     x_next = problem.f_prox.resolvent(
         tau, v_k - tau * problem.A.adjoint_apply(eta_k) - tau * g_k
@@ -228,7 +215,7 @@ def pd_step_alternative(state: PdState, problem: PdProblem, params: PdParams):
     :func:`pd_step` up to floating-point roundoff.
     """
     k, alpha, tau, sigma = state.k, params.alpha, params.tau, params.sigma
-    m_c, c_c = _momentum(alpha, k), _correction(alpha, k)
+    m_c, c_c = _extrapolation_coefficients(alpha, k)
     A, At = problem.A.apply, problem.A.adjoint_apply
     dx = state.x - state.x_prev
     dlam = state.lam - state.lam_prev
@@ -362,7 +349,6 @@ def flag_step(state: FlagState, problem: PdProblem, params: FlagParams):
     )
     lam_next = state.lam + theta * r * (A(xbar_next) - problem.b)
     x_next = (1.0 - 1.0 / (k + 1.0)) * state.x + xbar_next / (k + 1.0)
-    if not (np.all(np.isfinite(x_next)) and np.all(np.isfinite(lam_next))):
-        raise DivergenceError(f"non-finite iterate at k={k}", state=state)
+    _check_finite(state, x_next, lam_next)
     return FlagState(k=k + 1, x=x_next, x_bar=xbar_next, lam=lam_next,
                      x_prev=state.x, lam_prev=state.lam)

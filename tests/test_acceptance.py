@@ -43,9 +43,9 @@ from fbsplit.diagnostics import (
 from fbsplit.ffb import ffb_init, ffb_step_xi, ffb_step_y
 from fbsplit.linalg import LinearMap
 from fbsplit.operators import (
+    AffineConstraint,
     GradientMap,
     InclusionProblem,
-    affine_projection_resolvent,
     quadratic_term,
 )
 from fbsplit.primal_dual import certificate_subgradient, pd_init, pd_step, pd_zeta
@@ -62,7 +62,7 @@ def test_criterion_01_formulation_equivalence():
     rng = np.random.default_rng(11)
     a = rng.standard_normal((10, 50))
     problem = InclusionProblem(
-        affine_projection_resolvent(LinearMap(a), a @ rng.standard_normal(50)),
+        AffineConstraint(LinearMap(a), a @ rng.standard_normal(50)),
         GradientMap(quadratic_term(LinearMap(rng.standard_normal((30, 50))),
                                    rng.standard_normal(30))),
     )

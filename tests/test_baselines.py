@@ -13,11 +13,11 @@ from fbsplit.bench import ExperimentConfig, run_experiment
 from fbsplit.errors import ConfigurationError
 from fbsplit.linalg import LinearMap, identity
 from fbsplit.operators import (
+    AffineConstraint,
     GradientMap,
     InclusionProblem,
     L1Subdifferential,
     ZeroMap,
-    affine_projection_resolvent,
     quadratic_term,
 )
 from test_ffb import scalar_problem
@@ -64,7 +64,7 @@ def _fixed_point_fixture():
     z_star = rng.standard_normal(6)
     b = m @ z_star
     prob = InclusionProblem(
-        affine_projection_resolvent(LinearMap(m), b),
+        AffineConstraint(LinearMap(m), b),
         GradientMap(quadratic_term(identity(6), z_star)),
     )
     return prob, prob.M.resolvent(1.0, z_star)

@@ -29,7 +29,7 @@ from fbsplit.operators import (
     InclusionProblem,
     L1Subdifferential,
     ZeroOperator,
-    zero_smooth_term,
+    ZeroSmoothTerm,
 )
 from fbsplit.primal_dual import PdProblem
 
@@ -177,14 +177,19 @@ def test_fit_rate_slope_excludes_nonpositive_and_needs_ten():
         fit_rate_slope(recs[:5], "rtan")
 
 
-def test_reference_solution_scalar_kkt(tmp_path):
-    prob = PdProblem(
+def _scalar_kkt_problem():
+    """min |x| subject to x = 1: x* = 1, lam* = -1, objective 1."""
+    return PdProblem(
         f_prox=L1Subdifferential(),
         f_value=lambda x: float(np.sum(np.abs(x))),
-        h=zero_smooth_term(1),
+        h=ZeroSmoothTerm(1),
         A=identity(1),
         b=np.array([1.0]),
     )
+
+
+def test_reference_solution_scalar_kkt(tmp_path):
+    prob = _scalar_kkt_problem()
     ref = reference_solution(prob, budget=100_000, alpha=5.0, cache_dir=tmp_path)
     assert ref.x_star[0] == pytest.approx(1.0, abs=1e-4)
     assert ref.lam_star[0] == pytest.approx(-1.0, abs=1e-3)
@@ -196,6 +201,22 @@ def test_reference_solution_scalar_kkt(tmp_path):
     np.testing.assert_array_equal(again.lam_star, ref.lam_star)
     files = list(tmp_path.glob("reference_*.npz"))
     assert len(files) == 1
+
+
+def test_reference_solution_warns_when_not_converged(tmp_path):
+    prob = _scalar_kkt_problem()
+    # no feasibility meets a negative tolerance
+    with pytest.warns(RuntimeWarning, match="did not converge"):
+        ref = reference_solution(prob, budget=100_000, alpha=5.0,
+                                 cache_dir=tmp_path, feas_tol=-1.0)
+    assert not ref.converged
+    assert ref.feasibility == prob.feasibility(ref.x_star)
+    # the cached entry keeps its flag and warns again
+    with pytest.warns(RuntimeWarning, match="did not converge"):
+        again = reference_solution(prob, budget=100_000, alpha=5.0, cache_dir=tmp_path)
+    assert not again.converged
+    assert again.feasibility == ref.feasibility
+    np.testing.assert_array_equal(again.x_star, ref.x_star)
 
 
 def test_reference_solution_budget_floor():

@@ -141,3 +141,18 @@ def test_reference_subcommand(tmp_path, capsys):
     assert code == 0
     assert "reference objective" in capsys.readouterr().out
     assert list((tmp_path / "cache").glob("reference_*.npz"))
+
+
+def test_reference_given_iters_below_floor_is_config_error(tmp_path, capsys):
+    prob_path = tmp_path / "prob.npz"
+    bench.save_problem(bench.generate_problem(1, 2, 2, seed=4), prob_path)
+    cache = tmp_path / "cache"
+    common = ["--problem-file", str(prob_path), "--out", str(cache)]
+    code = cli.main(["reference", "--iters", "50000"] + common)
+    assert code == cli.EXIT_CONFIG
+    assert "at least 1e5" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"iters": 50000}))
+    code = cli.main(["reference", "--config", str(cfg)] + common)
+    assert code == cli.EXIT_CONFIG
+    assert not list(cache.glob("reference_*.npz"))

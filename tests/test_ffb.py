@@ -17,13 +17,13 @@ from fbsplit.ffb import (
 )
 from fbsplit.linalg import LinearMap, identity
 from fbsplit.operators import (
+    AffineConstraint,
     CocoerciveMap,
     GradientMap,
     InclusionProblem,
     L1Subdifferential,
     ZeroMap,
     ZeroOperator,
-    affine_projection_resolvent,
     quadratic_term,
 )
 
@@ -97,7 +97,7 @@ def test_init_stationary_at_zero():
     b = m @ z_star
     # C vanishes at z_star: gradient of 0.5*||x - z_star||^2
     prob = InclusionProblem(
-        affine_projection_resolvent(LinearMap(m), b),
+        AffineConstraint(LinearMap(m), b),
         GradientMap(quadratic_term(identity(6), z_star)),
     )
     params = FfbParams(alpha=5.0)
@@ -150,7 +150,7 @@ def test_formulation_equivalence_long_run():
     m = rng.standard_normal((4, 20))
     b = m @ rng.standard_normal(20)
     prob = InclusionProblem(
-        affine_projection_resolvent(LinearMap(m), b),
+        AffineConstraint(LinearMap(m), b),
         GradientMap(quadratic_term(LinearMap(rng.standard_normal((10, 20))),
                                    rng.standard_normal(10))),
     )

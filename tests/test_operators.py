@@ -3,16 +3,15 @@ import pytest
 
 from fbsplit.linalg import LinearMap, identity, inner
 from fbsplit.operators import (
+    AffineConstraint,
     GradientMap,
     InclusionProblem,
     L1Subdifferential,
     ZeroMap,
     ZeroOperator,
-    affine_projection_resolvent,
+    ZeroSmoothTerm,
     prox_l1,
     quadratic_term,
-    zero_resolvent,
-    zero_smooth_term,
 )
 
 
@@ -89,23 +88,30 @@ def test_quadratic_beta_cocoercivity_sampled():
 
 def test_affine_projection_matches_least_squares_oracle():
     A = LinearMap(np.array([[1.0, 1.0]]))
-    proj = affine_projection_resolvent(A, np.array([1.0]))
+    proj = AffineConstraint(A, np.array([1.0]))
     np.testing.assert_allclose(proj.resolvent(0.7, np.zeros(2)), [0.5, 0.5])
     rng = np.random.default_rng(21)
     m = rng.standard_normal((3, 6))
     b = m @ rng.standard_normal(6)
-    proj = affine_projection_resolvent(LinearMap(m), b)
+    proj = AffineConstraint(LinearMap(m), b)
     for _ in range(10):
         v = rng.standard_normal(6)
         oracle = v - m.T @ np.linalg.solve(m @ m.T, m @ v - b)
         np.testing.assert_allclose(proj.resolvent(1.0, v), oracle, atol=1e-10)
+    # a repeated row with an equal right-hand side is rank deficient but
+    # consistent and describes the same set, so the projection is the same
+    dup = AffineConstraint(LinearMap(np.vstack([m, m[:1]])), np.append(b, b[0]))
+    for _ in range(10):
+        v = rng.standard_normal(6)
+        oracle = v - m.T @ np.linalg.solve(m @ m.T, m @ v - b)
+        np.testing.assert_allclose(dup.resolvent(1.0, v), oracle, atol=1e-10)
 
 
 def test_affine_projection_idempotent_and_gamma_free():
     rng = np.random.default_rng(22)
     m = rng.standard_normal((2, 5))
     b = m @ rng.standard_normal(5)
-    proj = affine_projection_resolvent(LinearMap(m), b)
+    proj = AffineConstraint(LinearMap(m), b)
     v = rng.standard_normal(5)
     once = proj.resolvent(1.0, v)
     np.testing.assert_allclose(proj.resolvent(1.0, once), once, atol=1e-12)
@@ -118,11 +124,11 @@ def test_affine_projection_rejects_inconsistent_system():
     # two contradictory copies of the same row
     A = LinearMap(np.array([[1.0, 0.0], [1.0, 0.0]]))
     with pytest.raises(ValueError):
-        affine_projection_resolvent(A, np.array([0.0, 1.0]))
+        AffineConstraint(A, np.array([0.0, 1.0]))
 
 
 def test_zero_resolvent_is_identity():
-    z = zero_resolvent()
+    z = ZeroOperator()
     v = np.array([2.0, 3.0])
     np.testing.assert_array_equal(z.resolvent(1.0, v), v)
 
@@ -138,9 +144,9 @@ def test_zero_resolvent_fbs_reduces_to_gradient_descent():
 
 
 @pytest.mark.parametrize("make_resolvent", [
-    lambda rng: zero_resolvent(),
+    lambda rng: ZeroOperator(),
     lambda rng: L1Subdifferential(),
-    lambda rng: (lambda m: affine_projection_resolvent(
+    lambda rng: (lambda m: AffineConstraint(
         LinearMap(m), m @ rng.standard_normal(5)))(rng.standard_normal((2, 5))),
 ])
 def test_firm_nonexpansiveness_sampled(make_resolvent):
@@ -160,7 +166,7 @@ def test_firm_nonexpansiveness_sampled(make_resolvent):
 def test_zero_map_and_smooth_term():
     zm = ZeroMap()
     np.testing.assert_array_equal(zm.apply(np.ones(3)), np.zeros(3))
-    zs = zero_smooth_term(3)
+    zs = ZeroSmoothTerm(3)
     assert zs.value(np.ones(3)) == 0.0
     np.testing.assert_array_equal(zs.gradient(np.ones(3)), np.zeros(3))
     assert zs.beta == np.inf
@@ -169,7 +175,7 @@ def test_zero_map_and_smooth_term():
 def test_inclusion_problem_dimension_check():
     rng = np.random.default_rng(41)
     m = rng.standard_normal((2, 5))
-    proj = affine_projection_resolvent(LinearMap(m), m @ rng.standard_normal(5))
+    proj = AffineConstraint(LinearMap(m), m @ rng.standard_normal(5))
     q = quadratic_term(LinearMap(rng.standard_normal((3, 4))), rng.standard_normal(3))
     with pytest.raises(ValueError):
         InclusionProblem(proj, GradientMap(q))

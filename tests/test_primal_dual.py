@@ -8,8 +8,8 @@ from fbsplit.linalg import LinearMap, identity
 from fbsplit.operators import (
     L1Subdifferential,
     ZeroOperator,
+    ZeroSmoothTerm,
     quadratic_term,
-    zero_smooth_term,
 )
 from fbsplit.primal_dual import (
     FlagParams,
@@ -34,7 +34,7 @@ def scalar_l1_problem():
     return PdProblem(
         f_prox=L1Subdifferential(),
         f_value=lambda x: float(np.sum(np.abs(x))),
-        h=zero_smooth_term(1),
+        h=ZeroSmoothTerm(1),
         A=identity(1),
         b=np.array([1.0]),
     )
@@ -58,7 +58,7 @@ def test_pd_default_steps_formula():
     prob = PdProblem(
         f_prox=L1Subdifferential(),
         f_value=lambda x: float(np.sum(np.abs(x))),
-        h=quadratic_term(identity(2), np.zeros(2), norm_tol=1e-12),
+        h=quadratic_term(identity(2), np.zeros(2)),
         A=identity(2),
         b=np.zeros(2),
     )
@@ -100,7 +100,7 @@ def test_pd_init_zero_problem():
     prob = PdProblem(
         f_prox=ZeroOperator(),
         f_value=lambda x: 0.0,
-        h=zero_smooth_term(2),
+        h=ZeroSmoothTerm(2),
         A=identity(2),
         b=np.zeros(2),
     )
@@ -237,7 +237,7 @@ def test_lagrangian_gap_values():
     prob2 = PdProblem(
         f_prox=ZeroOperator(),
         f_value=lambda x: 0.0,
-        h=quadratic_term(identity(2), np.zeros(2), norm_tol=1e-12),
+        h=quadratic_term(identity(2), np.zeros(2)),
         A=identity(2),
         b=np.zeros(2),
     )
