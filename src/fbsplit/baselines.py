@@ -8,13 +8,12 @@ harness can drive them uniformly.
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .ffb import _check_finite, _start_point
-from .linalg import as_vector
+from .ffb import _check_finite, _forward_backward, _start_point
 from .operators import InclusionProblem, ZeroMap
 
 __all__ = [
@@ -46,19 +45,14 @@ _THIRD_CAP = 1.0 / 3.0 - 1e-3
 
 @dataclass(frozen=True)
 class BaselineMethod:
-    """Variant name plus its parameter record.
-
-    ``schedule`` may be a callable k -> dict overriding the coefficients of
-    :func:`default_schedules` for that k (missing keys fall back to the
-    defaults).
-    """
+    """Variant name plus its parameter record; the per-iteration
+    coefficients are those of :func:`default_schedules`."""
 
     variant: str
     gamma: Optional[float] = None
     alpha: float = 5.0   # fast_km acceleration parameter
     s: float = 1.0       # fast_km averaging weight
     rho: float = 0.9     # crifba relaxation factor
-    schedule: Optional[Callable[[int], dict]] = None
 
     def resolve(self, problem: InclusionProblem):
         """Validate against the problem and fill in a concrete step size."""
@@ -136,32 +130,22 @@ def default_schedules(variant, k, gamma=None, alpha=None, s=None):
     raise ConfigurationError(f"unknown baseline variant {variant!r}")
 
 
-def _coefficients(method: BaselineMethod, k):
-    coeffs = default_schedules(
-        method.variant, k, gamma=method.gamma, alpha=method.alpha, s=method.s
-    )
-    if method.schedule is not None:
-        coeffs.update(method.schedule(k))
-    return coeffs
-
-
-def baseline_init(method: BaselineMethod, problem: InclusionProblem, z0=None, y0=None):
+def baseline_init(method: BaselineMethod, problem: InclusionProblem, z0=None):
     """State at k=1.  FBS takes one real step; inertial variants start with
     cleared momentum history (z_1 = z_0)."""
     method = method.resolve(problem)
     z0 = _start_point(problem, z0)
     gamma = method.gamma
     if method.variant == "fbs":
-        z1 = problem.M.resolvent(gamma, z0 - gamma * problem.C.apply(z0))
-        return BaselineState(k=1, z_prev=z0, z=z1)
+        return BaselineState(k=1, z_prev=z0, z=_forward_backward(problem, gamma, z0))
     state = BaselineState(k=1, z_prev=z0, z=z0.copy())
     if method.variant == "crifba":
-        state.y_prev = z0.copy() if y0 is None else as_vector(y0, dim=z0.shape[0], name="y0")
+        state.y_prev = z0.copy()
     elif method.variant == "appm":
         state.y_prev = z0.copy()
         state.y_prev2 = z0.copy()
     elif method.variant == "fast_km":
-        state.fb_prev = problem.M.resolvent(gamma, z0 - gamma * problem.C.apply(z0))
+        state.fb_prev = _forward_backward(problem, gamma, z0)
     return state
 
 
@@ -172,32 +156,30 @@ def baseline_step(method: BaselineMethod, state: BaselineState,
     gamma = method.gamma
     if gamma is None:
         raise ConfigurationError("method not resolved: gamma is None")
-    co = _coefficients(method, k)
-    J = problem.M.resolvent
-    C = problem.C.apply
-    z, z_prev = state.z, state.z_prev
     variant = method.variant
+    co = default_schedules(variant, k, gamma=gamma, alpha=method.alpha, s=method.s)
+    J = problem.M.resolvent
+    z, z_prev = state.z, state.z_prev
 
     y_prev_new = state.y_prev
     y_prev2_new = state.y_prev2
     fb_prev_new = state.fb_prev
 
     if variant == "fbs":
-        z_next = J(gamma, z - gamma * C(z))
+        z_next = _forward_backward(problem, gamma, z)
     elif variant == "inertial_ppm":
         z_next = J(gamma, z + co["alpha_k"] * (z - z_prev))
     elif variant == "moudafi_oliny":
-        z_next = J(gamma, z + co["alpha_k"] * (z - z_prev) - gamma * C(z))
+        z_next = J(gamma, z + co["alpha_k"] * (z - z_prev) - gamma * problem.C.apply(z))
     elif variant == "lorenz_pock":
-        y = z + co["alpha_k"] * (z - z_prev)
-        z_next = J(gamma, y - gamma * C(y))
+        z_next = _forward_backward(problem, gamma, z + co["alpha_k"] * (z - z_prev))
     elif variant == "relaxed_inertial":
         y = z + co["alpha_k"] * (z - z_prev)
-        mu = co["mu_k"]
-        z_next = (1.0 - co["rho_k"]) * y + co["rho_k"] * J(mu, y - mu * C(y))
+        z_next = ((1.0 - co["rho_k"]) * y
+                  + co["rho_k"] * _forward_backward(problem, co["mu_k"], y))
     elif variant == "crifba":
         y = z + co["alpha_k"] * (z - z_prev) + co["delta_k"] * (state.y_prev - z)
-        z_next = (1.0 - method.rho) * y + method.rho * J(gamma, y - gamma * C(y))
+        z_next = (1.0 - method.rho) * y + method.rho * _forward_backward(problem, gamma, y)
         y_prev_new = y
     elif variant == "appm":
         y = z + co["alpha_k"] * (z - z_prev) + co["alpha_k"] * (state.y_prev2 - z_prev)
@@ -205,7 +187,7 @@ def baseline_step(method: BaselineMethod, state: BaselineState,
         y_prev2_new = state.y_prev
         y_prev_new = y
     elif variant == "fast_km":
-        fb_curr = J(gamma, z - gamma * C(z))
+        fb_curr = _forward_backward(problem, gamma, z)
         z_next = (
             co["fix_weight"] * z
             + co["momentum"] * (z - z_prev)
@@ -213,8 +195,6 @@ def baseline_step(method: BaselineMethod, state: BaselineState,
             + co["fb_old"] * state.fb_prev
         )
         fb_prev_new = fb_curr
-    else:
-        raise ConfigurationError(f"unknown baseline variant {variant!r}")
 
     _check_finite(state, z_next)
     return BaselineState(

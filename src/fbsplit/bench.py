@@ -127,10 +127,6 @@ class ExperimentConfig:
     gamma: Optional[float] = None
     tau: Optional[float] = None
     sigma: Optional[float] = None
-    s: Optional[float] = None
-    rho: Optional[float] = None
-    r: Optional[float] = None
-    theta: Optional[float] = None
     checkpoints: Optional[list] = None
     problem_file: Optional[str] = None
     reference: Optional[str] = None
@@ -157,8 +153,6 @@ class ExperimentConfig:
 class RunResult:
     records: list
     diverged: bool = False
-    method: str = ""
-    config: Optional[ExperimentConfig] = None
 
 
 @dataclass
@@ -229,12 +223,12 @@ def problem_fingerprint(problem: PdProblem):
     return digest.hexdigest()[:16]
 
 
-def default_checkpoints(iters, per_decade=50):
-    """Log-spaced iteration indices, about ``per_decade`` per decade,
-    always containing 1 and ``iters``."""
+def default_checkpoints(iters):
+    """Log-spaced iteration indices, about 50 per decade, always containing
+    1 and ``iters``."""
     if iters < 1:
         raise ConfigurationError("iters must be >= 1")
-    exponents = np.arange(0.0, math.log10(iters) + 1e-12, 1.0 / per_decade)
+    exponents = np.arange(0.0, math.log10(iters) + 1e-12, 1.0 / 50)
     ks = np.unique(np.rint(10.0**exponents).astype(int))
     ks = ks[(ks >= 1) & (ks <= iters)]
     if ks.size == 0 or ks[-1] != iters:
@@ -291,7 +285,7 @@ class _InclusionDriver:
             self.step = lambda state: step(state, problem, params)
         else:
             method = _params_from(BaselineMethod(config.method), config,
-                                  "gamma", "alpha", "s", "rho").resolve(problem)
+                                  "gamma", "alpha").resolve(problem)
             self.gamma = method.gamma
             self.init = lambda: baseline_init(method, problem)
             self.step = lambda state: baseline_step(method, state, problem)
@@ -318,11 +312,14 @@ class _InclusionDriver:
 
 class _PdDriver:
     def __init__(self, config, problem: PdProblem):
+        if not isinstance(problem, PdProblem):
+            raise ConfigurationError(
+                f"method {config.method!r} needs a constrained problem instance"
+            )
         self.problem = problem
         self.method_name = config.method
         if config.method == "flag":
-            params = _params_from(flag_default_params(problem), config,
-                                  "tau", "r", "theta").validate()
+            params = _params_from(flag_default_params(problem), config, "tau").validate()
             init, step = flag_init, flag_step
         else:
             params = _params_from(pd_default_steps(config.alpha, problem), config,
@@ -355,16 +352,6 @@ class _PdDriver:
         )
 
 
-def _driver(config, problem):
-    if config.method in _PD_METHODS:
-        if not isinstance(problem, PdProblem):
-            raise ConfigurationError(
-                f"method {config.method!r} needs a constrained problem instance"
-            )
-        return _PdDriver(config, problem)
-    return _InclusionDriver(config, problem)
-
-
 def run_experiment(config: ExperimentConfig, problem=None, reference=None):
     """Execute one configured run and return its records.
 
@@ -377,7 +364,7 @@ def run_experiment(config: ExperimentConfig, problem=None, reference=None):
         problem = _build_problem(config)
     if reference is None and config.reference is not None:
         reference = _load_reference(config.reference)
-    driver = _driver(config, problem)
+    driver = (_PdDriver if config.method in _PD_METHODS else _InclusionDriver)(config, problem)
     checkpoints = set(
         config.checkpoints if config.checkpoints is not None
         else default_checkpoints(config.iters)
@@ -407,11 +394,10 @@ def run_experiment(config: ExperimentConfig, problem=None, reference=None):
                 record(state)
     except DivergenceError:
         diverged = True
-    return RunResult(records=records, diverged=diverged,
-                     method=config.method, config=config)
+    return RunResult(records=records, diverged=diverged)
 
 
-def fit_rate_slope(records, quantity, k_min=1, k_max=None):
+def fit_rate_slope(records, quantity, k_min=1):
     """Least-squares slope of log(quantity) vs log(k) over k >= k_min.
 
     Rows with nonpositive or non-finite values are excluded; fewer than 10
@@ -420,9 +406,7 @@ def fit_rate_slope(records, quantity, k_min=1, k_max=None):
     ks, vals = [], []
     for rec in records:
         v = getattr(rec, quantity)
-        if rec.k < k_min or (k_max is not None and rec.k > k_max):
-            continue
-        if v is None or not math.isfinite(v) or v <= 0:
+        if rec.k < k_min or v is None or not math.isfinite(v) or v <= 0:
             continue
         ks.append(rec.k)
         vals.append(v)
@@ -487,9 +471,9 @@ def reference_solution(problem: PdProblem, budget=1_000_000, alpha=5.0,
     return ref
 
 
-def inclusion_reference(problem: InclusionProblem, budget=200_000, params=None):
+def inclusion_reference(problem: InclusionProblem, budget=200_000):
     """Approximate zero of M + C from a long fast forward-backward run."""
-    params = (params or FfbParams()).resolve(problem.beta)
+    params = FfbParams().resolve(problem.beta)
     state = ffb_init(problem, params)
     while state.k < budget:
         state = ffb_step_y(state, problem, params)

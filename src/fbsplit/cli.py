@@ -22,33 +22,37 @@ _CONFIG_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
 
 
 def _add_common(parser):
-    parser.add_argument("--method", default=None,
-                        help=f"one of: {', '.join(METHODS)}")
+    """The flags of every subcommand that builds a problem."""
     parser.add_argument("--alpha", type=float, default=None)
-    parser.add_argument("--gamma", type=float, default=None)
-    parser.add_argument("--tau", type=float, default=None)
-    parser.add_argument("--sigma", type=float, default=None)
     parser.add_argument("--m", type=int, default=None)
     parser.add_argument("--p", type=int, default=None)
     parser.add_argument("--n", type=int, default=None)
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--iters", type=int, default=None)
     parser.add_argument("--out", default=None)
-    parser.add_argument("--format", choices=("csv", "json"), default=None)
     parser.add_argument("--config", default=None, help="JSON config file")
     parser.add_argument("--problem-file", dest="problem_file", default=None)
+
+
+def _add_run_options(parser):
+    """The flags of the subcommands that run methods and emit records."""
+    parser.add_argument("--gamma", type=float, default=None)
+    parser.add_argument("--tau", type=float, default=None)
+    parser.add_argument("--sigma", type=float, default=None)
+    parser.add_argument("--format", choices=("csv", "json"), default=None)
     parser.add_argument("--reference", default=None,
                         help="saved reference solution (.npz) for the gap column")
     parser.add_argument("--timing", action="store_true", default=None,
                         help="record wall-clock ns (makes output nondeterministic)")
 
 
-def _config_from(args, overrides=None, allowed_extra=(), defaults=None):
-    values = dict(defaults or {})
-    if args.config:
-        values.update(json.loads(Path(args.config).read_text()))
-    for key in allowed_extra:
-        values.pop(key, None)
+def _file_values(args):
+    """The fields of the ``--config`` file, if one is given."""
+    return json.loads(Path(args.config).read_text()) if args.config else {}
+
+
+def _config_from(args, values, overrides=None):
+    """``values`` overlaid with the flags that are set, then ``overrides``."""
     for name in _CONFIG_FIELDS:
         cli_val = getattr(args, name, None)
         if cli_val is not None:
@@ -78,7 +82,7 @@ def _run_one(config):
 
 
 def cmd_solve(args):
-    config = _config_from(args)
+    config = _config_from(args, _file_values(args))
     result = _run_one(config)
     if result.records:
         last = result.records[-1]
@@ -93,11 +97,9 @@ def cmd_solve(args):
 
 
 def cmd_compare(args):
-    base = _config_from(args, overrides={"method": "ffb"}, allowed_extra=("methods",))
-    method_specs = None
-    if args.config:
-        file_cfg = json.loads(Path(args.config).read_text())
-        method_specs = file_cfg.get("methods")
+    values = _file_values(args)
+    method_specs = values.pop("methods", None)
+    base = _config_from(args, values, overrides={"method": "ffb"})
     if args.methods:
         method_specs = [_parse_method_token(t) for t in args.methods.split(",")]
     if not method_specs:
@@ -114,7 +116,6 @@ def cmd_compare(args):
         if unknown:
             raise ConfigurationError(f"unknown method spec keys: {sorted(unknown)}")
         values = dataclasses.asdict(base)
-        values.pop("out", None)
         values.update(spec)
         alpha = values.get("alpha")
         tag = f"{values['method']}"
@@ -130,13 +131,13 @@ def cmd_compare(args):
     diverged = False
     print(f"{'method':<12} {'k':>8} {'velocity':>13} {'objective':>16} {'feasibility':>13}")
     for config, result in zip(configs, results):
+        diverged = diverged or result.diverged
         if not result.records:
             continue
         last = result.records[-1]
         name = Path(config.out).stem
         print(f"{name:<12} {last.k:>8} {last.velocity:>13.6e} "
               f"{last.objective:>16.10g} {last.feasibility:>13.6e}")
-        diverged = diverged or result.diverged
     return EXIT_DIVERGED if diverged else EXIT_OK
 
 
@@ -159,8 +160,8 @@ def cmd_rates(args):
 def cmd_reference(args):
     # an iteration count given by flag or config file goes through unchanged,
     # so one below the reference floor is refused rather than replaced
-    config = _config_from(args, overrides={"method": "pd"},
-                          defaults={"iters": 1_000_000})
+    config = _config_from(args, {"iters": 1_000_000, **_file_values(args)},
+                          overrides={"method": "pd"})
     problem = bench._build_problem(config)
     cache_dir = config.out or "refcache"
     ref = bench.reference_solution(problem, budget=config.iters, alpha=config.alpha,
@@ -179,10 +180,14 @@ def build_parser():
 
     p_solve = sub.add_parser("solve", help="run one method on one problem")
     _add_common(p_solve)
+    _add_run_options(p_solve)
+    p_solve.add_argument("--method", default=None,
+                         help=f"one of: {', '.join(METHODS)}")
     p_solve.set_defaults(func=cmd_solve)
 
     p_cmp = sub.add_parser("compare", help="run a grid of methods on one problem")
     _add_common(p_cmp)
+    _add_run_options(p_cmp)
     p_cmp.add_argument("--methods", default=None,
                        help="comma list of method tokens, e.g. pd:5,pd:10,flag")
     p_cmp.add_argument("--jobs", type=int, default=1)

@@ -74,10 +74,6 @@ class NuConstants:
             raise ConfigurationError("omega requires beta and gamma")
         return omega_weight(k, self.alpha, self.beta, self.gamma, self.epsilon)
 
-    def d(self, k):
-        """Perturbation factor nu8 / ((k+1)^{3/2} - nu8)."""
-        return self.nu8 / ((k + 1.0) ** 1.5 - self.nu8)
-
 
 def _nu8(alpha, eta):
     return (4.0 / 3.0) * (alpha - 2.0) * eta / (1.0 - 8.0 * eta / (5.0 * alpha - 2.0))
@@ -188,19 +184,13 @@ def energy_E_expanded(eta, state: FfbState, z_star, params: FfbParams):
     )
 
 
-def energy_F(eta, epsilon, state: FfbState, z_star, params: FfbParams,
-             problem: InclusionProblem = None, c_curr=None):
+def energy_F(eta, epsilon, state: FfbState, z_star, params: FfbParams, c_curr):
     """Regularized energy: E plus two forward-map correction terms.
 
-    Needs C at the current iterate; pass it via ``c_curr`` if already
-    computed, otherwise supply ``problem`` so it can be evaluated here.
-    When C is constant the corrections vanish and F equals E.
+    ``c_curr`` is C at the current iterate, C(z_k).  When C is constant the
+    corrections vanish and F equals E.
     """
     alpha, gamma, k, a, b, delta, d, t = _pieces(state, z_star, params)
-    if c_curr is None:
-        if problem is None:
-            raise ConfigurationError("energy_F needs either c_curr or problem")
-        c_curr = problem.C.apply(state.z)
     dc = c_curr - state.c_prev
     r = a * k + alpha
     return (
@@ -293,16 +283,14 @@ def perturbed_decrease_check(f_series, alpha, eta, start_k=1, slack=0.0):
     )
 
 
-def energy_trajectory(problem, params: FfbParams, z_star, eta, epsilon, iters,
-                      step=None, z0=None, y0=None):
-    """Run the iteration and record E_k and F_k for k = 1..iters.
+def energy_trajectory(problem, params: FfbParams, z_star, eta, epsilon, iters):
+    """Run the extrapolation form from zero and record E_k and F_k for
+    k = 1..iters.
 
-    Returns (E, F) arrays indexed by k-1.  The extrapolation form is used
-    unless another step function is supplied.
+    Returns (E, F) arrays indexed by k-1.
     """
-    step = step or ffb_step_y
     params = params.resolve(problem.beta)
-    state = ffb_init(problem, params, z0=z0, y0=y0)
+    state = ffb_init(problem, params)
     e_vals = np.empty(iters)
     f_vals = np.empty(iters)
     for i in range(iters):
@@ -310,5 +298,5 @@ def energy_trajectory(problem, params: FfbParams, z_star, eta, epsilon, iters,
         e_vals[i] = energy_E(eta, state, z_star, params)
         f_vals[i] = energy_F(eta, epsilon, state, z_star, params, c_curr=c_curr)
         if i + 1 < iters:
-            state = step(state, problem, params)
+            state = ffb_step_y(state, problem, params)
     return e_vals, f_vals

@@ -110,12 +110,19 @@ def _extrapolate(cur, prev, anchor, m, c):
     return cur + m * (cur - prev) + c * (anchor - cur)
 
 
+def _forward_backward(problem: InclusionProblem, gamma, u):
+    """J_{gamma M}(u - gamma C(u)), the map every method is built from."""
+    return problem.M.resolvent(gamma, u - gamma * problem.C.apply(u))
+
+
 def _check_finite(state, *arrays):
+    """Raise DivergenceError, carrying the last finite ``state`` (None before
+    k=1), unless every array is finite.  Steppers check a resolvent's
+    argument rather than its output: a resolvent may reject non-finite input."""
     for a in arrays:
         if not np.all(np.isfinite(a)):
-            raise DivergenceError(
-                f"non-finite iterate at k={state.k}", state=state
-            )
+            k = 0 if state is None else state.k
+            raise DivergenceError(f"non-finite iterate at k={k}", state=state)
 
 
 def _start_point(problem: InclusionProblem, z0):
@@ -128,30 +135,33 @@ def _start_point(problem: InclusionProblem, z0):
     return as_vector(z0, dim=dim, name="z0")
 
 
+def _advance(state, problem: InclusionProblem, gamma, z, y):
+    """The state after ``state`` (None before k=1): z_{k+1} = J_{gamma M}(y_k
+    - gamma C(z_k)) and xi_{k+1} = (y_k - z_{k+1})/gamma - C(z_k), which is
+    non-finite whenever z_{k+1} is."""
+    c = problem.C.apply(z)
+    u = y - gamma * c
+    _check_finite(state, u)
+    z_next = problem.M.resolvent(gamma, u)
+    xi_next = (y - z_next) / gamma - c
+    _check_finite(state, xi_next)
+    k = 1 if state is None else state.k + 1
+    return FfbState(k=k, z_prev=z, z=z_next, y=y, xi=xi_next, c_prev=c)
+
+
 def ffb_init(problem: InclusionProblem, params: FfbParams, z0=None, y0=None):
     """Build the state at k=1 from starting points z0, y0 (default zero)."""
     params = params.resolve(problem.beta)
     z0 = _start_point(problem, z0)
     y0 = z0.copy() if y0 is None else as_vector(y0, dim=z0.shape[0], name="y0")
-    gamma = params.gamma
-    c0 = problem.C.apply(z0)
-    z1 = problem.M.resolvent(gamma, y0 - gamma * c0)
-    xi1 = (y0 - z1) / gamma - c0
-    state = FfbState(k=1, z_prev=z0, z=z1, y=y0, xi=xi1, c_prev=c0)
-    _check_finite(state, z1, xi1)
-    return state
+    return _advance(None, problem, params.gamma, z0, y0)
 
 
 def ffb_step_y(state: FfbState, problem: InclusionProblem, params: FfbParams):
     """Advance one iteration using the extrapolation form."""
-    k, gamma = state.k, params.gamma
-    m, c = _extrapolation_coefficients(params.alpha, k)
+    m, c = _extrapolation_coefficients(params.alpha, state.k)
     y_k = _extrapolate(state.z, state.z_prev, state.y, m, c)
-    c_k = problem.C.apply(state.z)
-    z_next = problem.M.resolvent(gamma, y_k - gamma * c_k)
-    xi_next = (y_k - z_next) / gamma - c_k
-    _check_finite(state, y_k, z_next, xi_next)
-    return FfbState(k=k + 1, z_prev=state.z, z=z_next, y=y_k, xi=xi_next, c_prev=c_k)
+    return _advance(state, problem, params.gamma, state.z, y_k)
 
 
 def ffb_step_xi(state: FfbState, problem: InclusionProblem, params: FfbParams):
@@ -167,12 +177,12 @@ def ffb_step_xi(state: FfbState, problem: InclusionProblem, params: FfbParams):
     c_k = problem.C.apply(state.z)
     t = state.xi + state.c_prev
     dz = state.z - state.z_prev
-    z_next = problem.M.resolvent(
-        gamma, state.z - gamma * c_k + m * dz + w * gamma * t
-    )
+    u = state.z - gamma * c_k + m * dz + w * gamma * t
+    _check_finite(state, u)
+    z_next = problem.M.resolvent(gamma, u)
     xi_next = (state.z - z_next + m * dz) / gamma + w * t - c_k
+    _check_finite(state, xi_next)
     y_k = z_next + gamma * (xi_next + c_k)
-    _check_finite(state, z_next, xi_next)
     return FfbState(k=k + 1, z_prev=state.z, z=z_next, y=y_k, xi=xi_next, c_prev=c_k)
 
 
@@ -190,6 +200,4 @@ def fixed_point_residual(z, problem: InclusionProblem, gamma):
     if not gamma > 0:
         raise ConfigurationError(f"gamma must be positive, got {gamma}")
     z = np.asarray(z, dtype=float)
-    return float(
-        np.linalg.norm(z - problem.M.resolvent(gamma, z - gamma * problem.C.apply(z)))
-    )
+    return float(np.linalg.norm(z - _forward_backward(problem, gamma, z)))

@@ -174,14 +174,15 @@ def pd_init(problem: PdProblem, params: PdParams, x0=None, v0=None,
     eta0 = lam0.copy() if eta0 is None else as_vector(eta0, dim=m, name="eta0")
     tau, sigma = params.tau, params.sigma
     g0 = problem.h.gradient(x0)
-    x1 = problem.f_prox.resolvent(tau, v0 - tau * problem.A.adjoint_apply(eta0) - tau * g0)
+    u = v0 - tau * problem.A.adjoint_apply(eta0) - tau * g0
+    _check_finite(None, u)
+    x1 = problem.f_prox.resolvent(tau, u)
     ax1 = problem.A.apply(x1)
     lam1 = eta0 + sigma * (ax1 - problem.b) + sigma * (ax1 - problem.A.apply(v0))
     w1 = (v0 - x1) / tau + problem.A.adjoint_apply(lam1 - eta0) - g0
-    state = PdState(k=1, x_prev=x0, x=x1, lam_prev=lam0, lam=lam1,
-                    v=v0, dual_extrap=eta0, w=w1, grad_prev=g0)
-    _check_finite(state, x1, lam1, w1)
-    return state
+    _check_finite(None, lam1, w1)
+    return PdState(k=1, x_prev=x0, x=x1, lam_prev=lam0, lam=lam1,
+                   v=v0, dual_extrap=eta0, w=w1, grad_prev=g0)
 
 
 def pd_step(state: PdState, problem: PdProblem, params: PdParams):
@@ -196,13 +197,13 @@ def pd_step(state: PdState, problem: PdProblem, params: PdParams):
     v_k = _extrapolate(state.x, state.x_prev, state.v, m_c, c_c)
     eta_k = _extrapolate(state.lam, state.lam_prev, state.dual_extrap, m_c, c_c)
     g_k = problem.h.gradient(state.x)
-    x_next = problem.f_prox.resolvent(
-        tau, v_k - tau * problem.A.adjoint_apply(eta_k) - tau * g_k
-    )
+    u = v_k - tau * problem.A.adjoint_apply(eta_k) - tau * g_k
+    _check_finite(state, u)
+    x_next = problem.f_prox.resolvent(tau, u)
     ax_next = problem.A.apply(x_next)
     lam_next = eta_k + sigma * (2.0 * ax_next - problem.b - problem.A.apply(v_k))
     w_next = (v_k - x_next) / tau + problem.A.adjoint_apply(lam_next - eta_k) - g_k
-    _check_finite(state, x_next, lam_next, w_next)
+    _check_finite(state, lam_next, w_next)
     return PdState(k=k + 1, x_prev=state.x, x=x_next, lam_prev=state.lam,
                    lam=lam_next, v=v_k, dual_extrap=eta_k, w=w_next, grad_prev=g_k)
 
@@ -220,11 +221,10 @@ def pd_step_alternative(state: PdState, problem: PdProblem, params: PdParams):
     dx = state.x - state.x_prev
     dlam = state.lam - state.lam_prev
     g_k = problem.h.gradient(state.x)
-    x_next = problem.f_prox.resolvent(
-        tau,
-        state.x - tau * (g_k + At(state.lam)) + m_c * dx
-        - tau * m_c * At(dlam) + c_c * tau * (state.w + state.grad_prev),
-    )
+    u = (state.x - tau * (g_k + At(state.lam)) + m_c * dx
+         - tau * m_c * At(dlam) + c_c * tau * (state.w + state.grad_prev))
+    _check_finite(state, u)
+    x_next = problem.f_prox.resolvent(tau, u)
     ax = A(state.x)
     ax_next = A(x_next)
     lam_next = (
@@ -238,7 +238,7 @@ def pd_step_alternative(state: PdState, problem: PdProblem, params: PdParams):
         + c_c * (state.w + state.grad_prev)
         - g_k
     )
-    _check_finite(state, x_next, lam_next, w_next)
+    _check_finite(state, lam_next, w_next)
     return PdState(k=k + 1, x_prev=state.x, x=x_next, lam_prev=state.lam,
                    lam=lam_next, v=None, dual_extrap=None, w=w_next, grad_prev=g_k)
 
@@ -341,14 +341,14 @@ def flag_step(state: FlagState, problem: PdProblem, params: FlagParams):
     k, tau, r, theta = state.k, params.tau, params.r, params.theta
     A, At = problem.A.apply, problem.A.adjoint_apply
     grad = problem.h.gradient(state.x_bar)
-    xbar_next = problem.f_prox.resolvent(
-        tau,
-        state.x_bar
-        - tau * (grad + At(state.lam) + r * At(A(state.x_bar) - problem.b))
-        - tau * r * k * At(A(state.x) - problem.b),
-    )
+    u = (state.x_bar
+         - tau * (grad + At(state.lam) + r * At(A(state.x_bar) - problem.b))
+         - tau * r * k * At(A(state.x) - problem.b))
+    _check_finite(state, u)
+    xbar_next = problem.f_prox.resolvent(tau, u)
     lam_next = state.lam + theta * r * (A(xbar_next) - problem.b)
+    # lam_next is non-finite whenever xbar_next is; x_next averages x with it
     x_next = (1.0 - 1.0 / (k + 1.0)) * state.x + xbar_next / (k + 1.0)
-    _check_finite(state, x_next, lam_next)
+    _check_finite(state, lam_next)
     return FlagState(k=k + 1, x=x_next, x_bar=xbar_next, lam=lam_next,
                      x_prev=state.x, lam_prev=state.lam)

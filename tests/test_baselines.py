@@ -92,10 +92,7 @@ def test_proximal_variants_fixed_points(variant):
 
 def test_crifba_degenerates_to_fbs():
     prob = scalar_problem()
-    crifba = BaselineMethod(
-        "crifba", gamma=0.8, rho=1.0,
-        schedule=lambda k: {"alpha_k": 0.0, "delta_k": 0.0},
-    ).resolve(prob)
+    crifba = BaselineMethod("crifba", gamma=0.8, rho=1.0).resolve(prob)
     fbs = BaselineMethod("fbs", gamma=0.8).resolve(prob)
     z0 = np.array([1.7])
     s_c = baseline_init(crifba, prob, z0=z0)

@@ -156,6 +156,19 @@ def test_run_experiment_divergence_flag():
     assert all(math.isfinite(r.velocity) for r in result.records)
 
 
+def test_divergence_between_checkpoints_is_reported():
+    # an oversized FLAG step overflows first inside the prox argument; the
+    # run reports divergence with the finite records gathered so far
+    for checkpoints, kept in (([5000], []), ([1, 10, 5000], [1, 10])):
+        config = ExperimentConfig(method="flag", tau=100.0, m=3, p=4, n=6,
+                                  iters=5000, checkpoints=checkpoints)
+        result = run_experiment(config)
+        assert result.diverged
+        assert [r.k for r in result.records] == kept
+        for r in result.records:
+            assert all(math.isfinite(v) for v in (r.velocity, r.objective, r.feasibility))
+
+
 def test_fit_rate_slope_synthetic():
     ks = default_checkpoints(10_000)
     recs = [IterationRecord(k=k, velocity=1.0 / k, rtan=1.0 / math.sqrt(k),

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from fbsplit import bench, cli
 from fbsplit.bench import CSV_HEADER, RunResult
 
@@ -61,6 +63,16 @@ def test_solve_divergence_exit_code(monkeypatch, capsys):
     )
     code = cli.main(["solve", "--method", "fbs", "--m", "3", "--p", "4",
                      "--n", "6", "--iters", "5"])
+    assert code == 3
+
+
+def test_compare_divergence_before_first_checkpoint_exit_code(monkeypatch, tmp_path):
+    monkeypatch.setattr(
+        cli.bench, "run_experiment",
+        lambda config, problem=None, reference=None: RunResult(records=[], diverged=True),
+    )
+    code = cli.main(["compare", "--methods", "pd:3,flag", "--m", "3", "--p", "4",
+                     "--n", "6", "--iters", "5", "--out", str(tmp_path)])
     assert code == 3
 
 
@@ -156,3 +168,31 @@ def test_reference_given_iters_below_floor_is_config_error(tmp_path, capsys):
     code = cli.main(["reference", "--config", str(cfg)] + common)
     assert code == cli.EXIT_CONFIG
     assert not list(cache.glob("reference_*.npz"))
+
+
+def test_compare_methods_from_config_file(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "methods": [{"method": "ffb"}, {"method": "fbs"}, {"method": "fast_km", "alpha": 3}],
+        "checkpoints": [1, 2, 5, 20],
+    }))
+    common = ["--config", str(cfg), "--m", "3", "--p", "4", "--n", "6",
+              "--seed", "2", "--iters", "20"]
+    out = tmp_path / "file"
+    assert cli.main(["compare"] + common + ["--out", str(out)]) == 0
+    stems = sorted({p.name.split(".")[0] for p in out.iterdir()})
+    assert stems == ["fast_km_a3", "fbs", "ffb_a5"]
+    for stem in stems:
+        assert [r.k for r in bench.read_records_csv(out / f"{stem}.csv")] == [1, 2, 5, 20]
+        assert (out / f"{stem}.velocity.dat").exists()
+    override = tmp_path / "override"
+    assert cli.main(["compare"] + common + ["--methods", "pd:3",
+                                            "--out", str(override)]) == 0
+    assert sorted(p.name for p in override.glob("*.csv")) == ["pd_a3.csv"]
+
+
+@pytest.mark.parametrize("flag", [["--tau", "1"], ["--method", "flag"], ["--timing"]])
+def test_reference_rejects_flags_it_does_not_read(flag):
+    with pytest.raises(SystemExit) as exc_info:
+        cli.main(["reference", "--m", "1", "--p", "2", "--n", "2"] + flag)
+    assert exc_info.value.code == 2

@@ -139,7 +139,7 @@ def test_energy_F_equals_E_for_constant_forward_map():
     state = _random_state(rng, k=5)
     state.c_prev = np.zeros(6)
     z_star = rng.standard_normal(6)
-    f = energy_F(1.5, 0.3, state, z_star, params, problem=prob)
+    f = energy_F(1.5, 0.3, state, z_star, params, c_curr=prob.C.apply(state.z))
     e = energy_E(1.5, state, z_star, params)
     assert f == pytest.approx(e, rel=1e-14)
 

@@ -228,3 +228,13 @@ def test_divergence_carries_last_state():
     last = exc_info.value.state
     assert last is not None
     assert np.all(np.isfinite(last.z))
+
+
+def test_first_step_divergence_carries_no_state():
+    # the resolvent's argument overflows before any finite state exists; the
+    # l1 resolvent would reject it as bad input if it were applied
+    prob = InclusionProblem(L1Subdifferential(), _LyingMap())
+    params = FfbParams(alpha=3.0, gamma=1.0)
+    with pytest.raises(DivergenceError) as exc_info:
+        ffb_init(prob, params, z0=np.array([1e308]))
+    assert exc_info.value.state is None

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fbsplit.errors import ConfigurationError
+from fbsplit.errors import ConfigurationError, DivergenceError
 from fbsplit.linalg import LinearMap, identity
 from fbsplit.operators import (
     L1Subdifferential,
@@ -267,3 +267,13 @@ def test_objective_bounds_sandwich(bench_problem, pd_reference):
                                                  ref.x_star, ref.lam_star)
             slack = 1e-7 * max(1.0, abs(gap))
             assert lower - slack <= gap <= upper + slack
+
+
+def test_pd_first_step_divergence_carries_no_state():
+    # v0 - tau A* eta0 overflows, so the prox argument is non-finite before
+    # any finite state exists
+    prob = scalar_l1_problem()
+    params = pd_default_steps(3.0, prob)
+    with pytest.raises(DivergenceError) as exc_info:
+        pd_init(prob, params, v0=np.array([1e308]), eta0=np.array([-1e308]))
+    assert exc_info.value.state is None
