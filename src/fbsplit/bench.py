@@ -48,6 +48,7 @@ from .operators import (
     quadratic_term,
 )
 from .primal_dual import (
+    PdParams,
     PdProblem,
     certificate_residual,
     flag_default_params,
@@ -89,6 +90,9 @@ CSV_HEADER = ",".join(("k",) + _QUANTITIES + ("ns",))
 
 # primal-dual methods run on the PdProblem; the rest on its inclusion form
 _PD_METHODS = ("pd", "pd_alt", "flag")
+# runs of these methods that differ only in _ROW_FIELDS advance in lockstep
+_LOCKSTEP_METHODS = ("pd", "pd_alt")
+_ROW_FIELDS = ("alpha", "tau", "sigma", "out")
 _FFB_METHODS = ("ffb", "ffb_xi")
 METHODS = _FFB_METHODS + tuple(VARIANTS) + _PD_METHODS
 
@@ -151,8 +155,13 @@ class ExperimentConfig:
 
 @dataclass
 class RunResult:
+    """The records of one run; a run that diverged says at which ``k``
+    (its last finite state, 0 before k=1) and why."""
+
     records: list
     diverged: bool = False
+    diverged_at: Optional[int] = None
+    reason: Optional[str] = None
 
 
 @dataclass
@@ -268,6 +277,24 @@ def _params_from(defaults, config, *fields):
     })
 
 
+def _lockstep_key(config):
+    """What ``config`` shares with the runs it can advance with in lockstep,
+    as text: every field but alpha, tau, sigma and out.  None for a method
+    that steps one vector at a time."""
+    if config.method not in _LOCKSTEP_METHODS:
+        return None
+    return repr(dataclasses.replace(config, **dict.fromkeys(_ROW_FIELDS)))
+
+
+def _rows(obj, index):
+    """A state or parameter block with each array field indexed by
+    ``index``: one row (a view) or a list of rows."""
+    return dataclasses.replace(obj, **{
+        f.name: getattr(obj, f.name)[index] for f in dataclasses.fields(obj)
+        if isinstance(getattr(obj, f.name), np.ndarray)
+    })
+
+
 class _InclusionDriver:
     """Uniform init/step/measure wrapper over the inclusion-form methods."""
 
@@ -311,7 +338,11 @@ class _InclusionDriver:
 
 
 class _PdDriver:
-    def __init__(self, config, problem: PdProblem):
+    """Init/step/measure over one primal-dual run, or over a lockstep group
+    of ``pd``/``pd_alt`` runs whose states are the rows of one block."""
+
+    def __init__(self, configs, problem: PdProblem):
+        config = configs[0]
         if not isinstance(problem, PdProblem):
             raise ConfigurationError(
                 f"method {config.method!r} needs a constrained problem instance"
@@ -319,17 +350,38 @@ class _PdDriver:
         self.problem = problem
         self.method_name = config.method
         if config.method == "flag":
-            params = _params_from(flag_default_params(problem), config, "tau").validate()
-            init, step = flag_init, flag_step
+            self.params = _params_from(flag_default_params(problem), config, "tau").validate()
+            self._init, self._step = flag_init, flag_step
         else:
-            params = _params_from(pd_default_steps(config.alpha, problem), config,
-                                  "tau", "sigma").validate(problem)
-            init = pd_init
-            step = pd_step_alternative if config.method == "pd_alt" else pd_step
-        self.init = lambda: init(problem, params)
-        self.step = lambda state: step(state, problem, params)
+            rows = [_params_from(pd_default_steps(c.alpha, problem), c,
+                                 "tau", "sigma").validate(problem) for c in configs]
+            if len(rows) == 1:
+                self.params = rows[0]
+            else:  # a block takes each parameter as a (K, 1) column, a row per run
+                columns = np.array([dataclasses.astuple(r) for r in rows]).T[..., None]
+                self.params = PdParams(*columns)
+            self._init = pd_init
+            self._step = pd_step_alternative if config.method == "pd_alt" else pd_step
 
-    def measure(self, state, reference):
+    # methods rather than lambdas over self: a driver in a reference cycle
+    # would keep its problem alive until the cycle collector ran
+    def init(self):
+        return self._init(self.problem, self.params)
+
+    def step(self, state):
+        return self._step(state, self.problem, self.params)
+
+    def keep(self, state, rows):
+        """The block ``state`` (None before k=1) cut to ``rows``; the step
+        sizes follow."""
+        self.params = _rows(self.params, rows)
+        return None if state is None else _rows(state, rows)
+
+    def measure(self, state, reference, row=None):
+        """The record of ``state``, or of its run ``row`` when ``state`` is
+        a lockstep block."""
+        if row is not None:
+            state = _rows(state, row)
         gap = math.nan
         if reference is not None:
             gap = lagrangian_gap(
@@ -352,49 +404,92 @@ class _PdDriver:
         )
 
 
-def run_experiment(config: ExperimentConfig, problem=None, reference=None):
+def run_experiment(config: ExperimentConfig, problem=None, reference=None,
+                   lockstep=None):
     """Execute one configured run and return its records.
 
     ``problem`` and ``reference`` override the config-derived ones (useful
     for in-process experiments).  Divergence yields the records gathered so
-    far with the ``diverged`` flag set instead of an exception.
+    far, with ``diverged``, the iteration and the reason set, instead of an
+    exception.
+
+    ``lockstep`` lists further ``pd`` or ``pd_alt`` configs that differ
+    from ``config`` only in alpha, tau, sigma and out; all of them then
+    advance as the rows of one block on one problem, and the list of their
+    results, ``config``'s first, is returned.  Each result equals its solo
+    run's bit for bit, also when another row diverges; ``ns`` under
+    ``timing`` counts from the start of the group.
     """
-    config.validate()
+    configs = [config, *(lockstep or ())]
+    for c in configs:
+        c.validate()
+    if lockstep:
+        key = _lockstep_key(config)
+        if key is None or any(_lockstep_key(c) != key for c in lockstep):
+            raise ConfigurationError(
+                "lockstep runs must share a method in "
+                f"{_LOCKSTEP_METHODS} and differ only in {', '.join(_ROW_FIELDS)}"
+            )
     if problem is None:
         problem = _build_problem(config)
     if reference is None and config.reference is not None:
         reference = _load_reference(config.reference)
-    driver = (_PdDriver if config.method in _PD_METHODS else _InclusionDriver)(config, problem)
+    if config.method in _PD_METHODS:
+        driver = _PdDriver(configs, problem)
+    else:
+        driver = _InclusionDriver(config, problem)
+    block = len(configs) > 1
     checkpoints = set(
         config.checkpoints if config.checkpoints is not None
         else default_checkpoints(config.iters)
     )
-    records = []
-    diverged = False
+    results = [RunResult(records=[]) for _ in configs]
+    live = list(range(len(configs)))  # the config of each row of the state
     t0 = time.perf_counter_ns() if config.timing else 0
 
-    def record(state):
-        rec = driver.measure(state, reference)
-        # norms can overflow to inf on huge but still finite states; such a
-        # row marks divergence rather than data (NaN stays: it flags
-        # quantities a method does not define)
-        computed = (rec.velocity, rec.rfix, rec.objective, rec.feasibility)
-        if any(math.isinf(v) for v in computed):
-            raise DivergenceError(f"non-finite metrics at k={state.k}", state=state)
-        rec.ns = (time.perf_counter_ns() - t0) if config.timing else 0
-        records.append(rec)
+    def retire(state, rows, k, reason):
+        """``state`` without ``rows``, whose runs diverged at ``k``."""
+        for row in rows:
+            result = results[live[row]]
+            result.diverged, result.diverged_at, result.reason = True, k, reason
+        keep = [row for row in range(len(live)) if row not in rows]
+        live[:] = [live[row] for row in keep]
+        return driver.keep(state, keep) if live else None
 
-    try:
-        state = driver.init()
-        if state.k in checkpoints:
-            record(state)
-        while state.k < config.iters:
-            state = driver.step(state)
+    def record(state):
+        """Append each row's record; return the rows whose metrics overflowed."""
+        overflowed = []
+        for row, i in enumerate(live):
+            rec = (driver.measure(state, reference, row) if block
+                   else driver.measure(state, reference))
+            # norms can overflow to inf on huge but still finite states; such
+            # a row marks divergence rather than data (NaN stays: it flags
+            # quantities a method does not define)
+            if any(map(math.isinf, (rec.velocity, rec.rfix, rec.objective, rec.feasibility))):
+                overflowed.append(row)
+                continue
+            if config.timing:
+                rec.ns = time.perf_counter_ns() - t0
+            results[i].records.append(rec)
+        return overflowed
+
+    state = None
+    # overflow on the way to divergence is reported as divergence, so numpy's
+    # floating-point warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        while live and (state is None or state.k < config.iters):
+            try:
+                state = driver.init() if state is None else driver.step(state)
+            except DivergenceError as exc:
+                # the rows left are stepped again from the last finite state
+                rows = range(len(live)) if exc.rows is None else exc.rows
+                state = retire(state, rows, exc.k, exc.reason)
+                continue
             if state.k in checkpoints:
-                record(state)
-    except DivergenceError:
-        diverged = True
-    return RunResult(records=records, diverged=diverged)
+                overflowed = record(state)
+                if overflowed:
+                    state = retire(state, overflowed, state.k, "non-finite metrics")
+    return results if lockstep is not None else results[0]
 
 
 def fit_rate_slope(records, quantity, k_min=1):

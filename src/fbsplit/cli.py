@@ -5,6 +5,7 @@ Exit codes: 0 success, 2 configuration error, 3 divergence.
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -74,16 +75,29 @@ def _parse_method_token(token):
     return overrides
 
 
-def _run_one(config):
-    result = bench.run_experiment(config)
-    if config.out:
-        bench.emit(result.records, config.format, config.out)
-    return result
+def _run_group(configs):
+    """The results of ``configs``, one lockstep group, in their order."""
+    first, *rest = configs
+    if rest:
+        return bench.run_experiment(first, lockstep=rest)
+    return [bench.run_experiment(first)]
+
+
+def _lockstep_groups(configs):
+    """The indices of ``configs`` by lockstep group, in order of first
+    appearance; a config no other can join forms a group of its own."""
+    groups = {}
+    for i, config in enumerate(configs):
+        key = bench._lockstep_key(config)
+        groups.setdefault(i if key is None else key, []).append(i)
+    return list(groups.values())
 
 
 def cmd_solve(args):
     config = _config_from(args, _file_values(args))
-    result = _run_one(config)
+    result = bench.run_experiment(config)
+    if config.out:
+        bench.emit(result.records, config.format, config.out)
     if result.records:
         last = result.records[-1]
         print(
@@ -91,7 +105,8 @@ def cmd_solve(args):
             f"objective={last.objective:.10g} feasibility={last.feasibility:.6e}"
         )
     if result.diverged:
-        print("run diverged; partial records written", file=sys.stderr)
+        print(f"run diverged at k={result.diverged_at}: {result.reason}; "
+              "partial records written", file=sys.stderr)
         return EXIT_DIVERGED
     return EXIT_OK
 
@@ -123,19 +138,31 @@ def cmd_compare(args):
             tag += f"_a{alpha:g}"
         values["out"] = str(out_dir / f"{tag}.{base.format}")
         configs.append(ExperimentConfig(**values).validate())
+    groups = _lockstep_groups(configs)
+    runs = [[configs[i] for i in group] for group in groups]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_run_one, configs))
+            group_results = list(pool.map(_run_group, runs))
     else:
-        results = [_run_one(c) for c in configs]
+        group_results = [_run_group(run) for run in runs]
+    results = [None] * len(configs)
+    for group, group_result in zip(groups, group_results):
+        for i, result in zip(group, group_result):
+            results[i] = result
+    # in spec order, so that of two specs writing one file the later wins
+    for config, result in zip(configs, results):
+        bench.emit(result.records, config.format, config.out)
     diverged = False
     print(f"{'method':<12} {'k':>8} {'velocity':>13} {'objective':>16} {'feasibility':>13}")
     for config, result in zip(configs, results):
-        diverged = diverged or result.diverged
+        name = Path(config.out).stem
+        if result.diverged:
+            diverged = True
+            print(f"{name} diverged at k={result.diverged_at}: {result.reason}",
+                  file=sys.stderr)
         if not result.records:
             continue
         last = result.records[-1]
-        name = Path(config.out).stem
         print(f"{name:<12} {last.k:>8} {last.velocity:>13.6e} "
               f"{last.objective:>16.10g} {last.feasibility:>13.6e}")
     return EXIT_DIVERGED if diverged else EXIT_OK
@@ -206,9 +233,16 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser, built once per process: building it takes about ten
+    times as long as parsing, a cost in-process callers would pay on every
+    command."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigurationError as exc:

@@ -117,12 +117,14 @@ def _forward_backward(problem: InclusionProblem, gamma, u):
 
 def _check_finite(state, *arrays):
     """Raise DivergenceError, carrying the last finite ``state`` (None before
-    k=1), unless every array is finite.  Steppers check a resolvent's
+    k=1), unless every array is finite; for a ``(K, n)`` block of lockstep
+    rows it names the rows that are not.  Steppers check a resolvent's
     argument rather than its output: a resolvent may reject non-finite input."""
     for a in arrays:
-        if not np.all(np.isfinite(a)):
-            k = 0 if state is None else state.k
-            raise DivergenceError(f"non-finite iterate at k={k}", state=state)
+        finite = np.isfinite(a)
+        if not finite.all():
+            rows = np.flatnonzero(~finite.all(axis=-1)).tolist() if a.ndim > 1 else None
+            raise DivergenceError("non-finite iterate", state=state, rows=rows)
 
 
 def _start_point(problem: InclusionProblem, z0):

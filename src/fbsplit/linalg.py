@@ -1,7 +1,8 @@
 """Dense vectors and linear maps with adjoints, plus spectral-norm estimation.
 
 Vectors are plain 1-D float64 numpy arrays; ``as_vector`` is the validation
-boundary that keeps NaN/Inf out of solver state.
+boundary that keeps NaN/Inf out of solver state.  Lockstep runs stack their
+vectors as the rows of a ``(K, dim)`` block.
 """
 
 import warnings
@@ -40,6 +41,11 @@ class LinearMap:
     Wraps a 2-D array ``matrix`` of shape (out_dim, in_dim).  ``apply`` is
     matrix-vector multiplication and ``adjoint_apply`` uses the transpose, so
     the adjoint identity <A u, v> == <u, A^T v> holds by construction.
+
+    Both also take a ``(K, dim)`` block of rows, the state of K lockstep
+    runs, and map each row as they map a vector: a stacked ``matmul`` makes
+    one matrix-vector product per row, so every row of the result is
+    bit-identical to the 1-D product, which one matrix-matrix product is not.
     """
 
     def __init__(self, matrix):
@@ -59,10 +65,14 @@ class LinearMap:
         return self.matrix.shape[0]
 
     def apply(self, v):
-        return self.matrix @ v
+        if v.ndim == 1:
+            return self.matrix @ v
+        return np.matmul(self.matrix, v[..., None])[..., 0]
 
     def adjoint_apply(self, u):
-        return self.matrix.T @ u
+        if u.ndim == 1:
+            return self.matrix.T @ u
+        return np.matmul(self.matrix.T, u[..., None])[..., 0]
 
     def __repr__(self):
         return f"LinearMap({self.out_dim}x{self.in_dim})"

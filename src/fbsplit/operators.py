@@ -33,11 +33,15 @@ __all__ = [
 
 
 def prox_l1(v, t):
-    """Soft threshold: componentwise sign(v_i) * max(|v_i| - t, 0)."""
-    if not t > 0:
+    """Soft threshold: componentwise sign(v_i) * max(|v_i| - t, 0).
+
+    A ``(K, n)`` block of rows may take one threshold per row as a
+    ``(K, 1)`` column ``t``.
+    """
+    if not (t > 0 if isinstance(t, float) else np.all(t > 0)):
         raise ValueError("threshold t must be positive")
     v = np.asarray(v, dtype=float)
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("prox_l1 input contains non-finite entries")
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 

@@ -104,7 +104,12 @@ class PdParams:
 
     def validate(self, problem: PdProblem):
         """Check the strong-positivity and step-size conditions; raise naming
-        the failed inequality."""
+        the failed inequality.  Parameters given as ``(K, 1)`` columns, one
+        row per lockstep run, must satisfy them in every row."""
+        if np.ndim(self.tau):
+            for row in zip(*(np.ravel(v) for v in (self.alpha, self.tau, self.sigma))):
+                PdParams(*row).validate(problem)
+            return self
         if not self.alpha > 2:
             raise ConfigurationError(f"alpha must exceed 2, got {self.alpha}")
         if not (self.tau > 0 and self.sigma > 0):
@@ -165,12 +170,19 @@ class PdState:
 
 def pd_init(problem: PdProblem, params: PdParams, x0=None, v0=None,
             lam0=None, eta0=None):
-    """State at k=1 from starting points (defaults all zero)."""
+    """State at k=1 from starting points (defaults all zero).
+
+    Step sizes given as ``(K, 1)`` columns start K lockstep runs from zero:
+    the state holds ``(K, n)`` and ``(K, m)`` blocks, one row per run, and
+    :func:`pd_step` and :func:`pd_step_alternative` advance every row as
+    they would advance that run alone.
+    """
     params.validate(problem)
+    rows = np.shape(params.tau)[:1]  # (K,) for a block, () for one run
     n, m = problem.n, problem.m
-    x0 = np.zeros(n) if x0 is None else as_vector(x0, dim=n, name="x0")
+    x0 = np.zeros(rows + (n,)) if x0 is None else as_vector(x0, dim=n, name="x0")
     v0 = x0.copy() if v0 is None else as_vector(v0, dim=n, name="v0")
-    lam0 = np.zeros(m) if lam0 is None else as_vector(lam0, dim=m, name="lam0")
+    lam0 = np.zeros(rows + (m,)) if lam0 is None else as_vector(lam0, dim=m, name="lam0")
     eta0 = lam0.copy() if eta0 is None else as_vector(eta0, dim=m, name="eta0")
     tau, sigma = params.tau, params.sigma
     g0 = problem.h.gradient(x0)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -167,6 +168,70 @@ def test_divergence_between_checkpoints_is_reported():
         assert [r.k for r in result.records] == kept
         for r in result.records:
             assert all(math.isfinite(v) for v in (r.velocity, r.objective, r.feasibility))
+
+
+def test_divergence_raises_no_floating_point_warnings():
+    # the run reports its divergence itself; numpy's overflow warnings on the
+    # way there would only repeat it
+    config = ExperimentConfig(method="flag", tau=100.0, m=3, p=4, n=6, iters=5000,
+                              checkpoints=[1, 10, 5000])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = run_experiment(config)
+    assert result.diverged
+    assert result.reason == "non-finite iterate"
+    assert result.diverged_at > 10
+
+
+class _RowBlowsUp(L1Subdifferential):
+    """Soft thresholding that sends row 1 of a block of rows to infinity from
+    its ``calls``-th application on."""
+
+    def __init__(self, calls):
+        self.calls = calls
+
+    def resolvent(self, gamma, v):
+        out = super().resolvent(gamma, v)
+        self.calls -= 1
+        if self.calls <= 0 and out.ndim == 2 and len(out) > 1:
+            out[1] = np.inf
+        return out
+
+
+@pytest.mark.parametrize("method", ["pd", "pd_alt"])
+def test_lockstep_row_divergence_leaves_the_other_rows(tmp_path, method):
+    prob = generate_problem(3, 4, 6, seed=2)
+    blows_up = PdProblem(_RowBlowsUp(30), prob.f_value, prob.h, prob.A, prob.b)
+    configs = [ExperimentConfig(method=method, alpha=a, m=3, p=4, n=6, seed=2, iters=60,
+                                checkpoints=list(range(1, 61)), out=str(tmp_path / f"{a}"))
+               for a in (3.0, 5.0)]
+    first, second = run_experiment(configs[0], problem=blows_up, lockstep=configs[1:])
+    solo = [run_experiment(c, problem=prob) for c in configs]
+    # the 30th resolvent call makes x_30, so the last finite state is k=29
+    assert (second.diverged, second.diverged_at) == (True, 29)
+    assert second.reason == "non-finite iterate"
+    assert records_equal(second.records, solo[1].records[:29])
+    assert not first.diverged
+    assert records_equal(first.records, solo[0].records)
+    emit(first.records, "csv", tmp_path / "group.csv")
+    emit(solo[0].records, "csv", tmp_path / "solo.csv")
+    for suffix in (".csv", ".velocity.dat", ".dual_velocity.dat", ".objective.dat"):
+        group_file, solo_file = ((tmp_path / f"{name}.csv").with_suffix(suffix)
+                                 for name in ("group", "solo"))
+        assert group_file.read_bytes() == solo_file.read_bytes()
+
+
+def test_lockstep_needs_runs_that_differ_only_in_step_parameters():
+    base = ExperimentConfig(method="pd", m=3, p=4, n=6, iters=5)
+    for other in (ExperimentConfig(method="pd", m=3, p=4, n=6, iters=6),
+                  ExperimentConfig(method="pd_alt", m=3, p=4, n=6, iters=5)):
+        with pytest.raises(ConfigurationError):
+            run_experiment(base, lockstep=[other])
+    flag = ExperimentConfig(method="flag", m=3, p=4, n=6, iters=5)
+    with pytest.raises(ConfigurationError):
+        run_experiment(flag, lockstep=[flag])
+    [only] = run_experiment(base, lockstep=[])
+    assert records_equal(only.records, run_experiment(base).records)
 
 
 def test_fit_rate_slope_synthetic():

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -196,3 +197,64 @@ def test_reference_rejects_flags_it_does_not_read(flag):
     with pytest.raises(SystemExit) as exc_info:
         cli.main(["reference", "--m", "1", "--p", "2", "--n", "2"] + flag)
     assert exc_info.value.code == 2
+
+
+_SWEEP = ["--m", "5", "--p", "8", "--n", "12", "--seed", "1", "--iters", "300"]
+
+
+@pytest.mark.parametrize("method,jobs", [("pd", 1), ("pd", 2), ("pd_alt", 1)])
+def test_compare_lockstep_group_matches_solo_runs(tmp_path, method, jobs):
+    # the four same-method specs run as one block of rows; every file must
+    # equal the one a separate solve writes
+    solo, group = tmp_path / "solo", tmp_path / "group"
+    for alpha in ("3", "5", "10", "20"):
+        assert cli.main(["solve", "--method", method, "--alpha", alpha, *_SWEEP,
+                         "--out", str(solo / f"{method}_a{alpha}.csv")]) == 0
+    tokens = ",".join(f"{method}:{a}" for a in (3, 5, 10, 20))
+    assert cli.main(["compare", "--methods", tokens, *_SWEEP, "--jobs", str(jobs),
+                     "--out", str(group)]) == 0
+    names = sorted(p.name for p in solo.iterdir())
+    assert names == sorted(p.name for p in group.iterdir())
+    for name in names:
+        assert (group / name).read_bytes() == (solo / name).read_bytes(), name
+
+
+def test_compare_runs_same_method_specs_in_one_group(monkeypatch, tmp_path, capsys):
+    calls = []
+    run = bench.run_experiment
+
+    def spy(config, problem=None, reference=None, lockstep=None):
+        calls.append([config.out] + [c.out for c in lockstep or ()])
+        return run(config, problem, reference, lockstep)
+
+    monkeypatch.setattr(cli.bench, "run_experiment", spy)
+    assert cli.main(["compare", "--methods", "pd:3,flag,pd:5,pd_alt:3,pd_alt:5",
+                     "--m", "3", "--p", "4", "--n", "6", "--iters", "20",
+                     "--out", str(tmp_path)]) == 0
+    stems = [[Path(out).stem for out in call] for call in calls]
+    assert stems == [["pd_a3", "pd_a5"], ["flag"], ["pd_alt_a3", "pd_alt_a5"]]
+    rows = [line.split()[0] for line in capsys.readouterr().out.splitlines()[1:]]
+    assert rows == ["pd_a3", "flag", "pd_a5", "pd_alt_a3", "pd_alt_a5"]
+
+
+def test_compare_names_the_run_that_diverged(tmp_path, capsys):
+    # flag with an oversized step diverges before its only checkpoint, so it
+    # prints no row; stderr says which run diverged and where
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"checkpoints": [50], "methods": [
+        {"method": "pd"}, {"method": "flag", "tau": 100}]}))
+    code = cli.main(["compare", "--config", str(cfg), "--m", "3", "--p", "4",
+                     "--n", "6", "--iters", "50", "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_DIVERGED
+    captured = capsys.readouterr()
+    table = captured.out.splitlines()
+    assert table[0].split() == ["method", "k", "velocity", "objective", "feasibility"]
+    assert [line.split()[:2] for line in table[1:]] == [["pd_a5", "50"]]
+    assert captured.err.startswith("flag diverged at k=")
+
+
+def test_solve_names_the_divergence_iteration(capsys):
+    code = cli.main(["solve", "--method", "flag", "--tau", "100", "--m", "3",
+                     "--p", "4", "--n", "6", "--iters", "50"])
+    assert code == cli.EXIT_DIVERGED
+    assert "run diverged at k=" in capsys.readouterr().err
