@@ -42,6 +42,11 @@ _PROX_ONLY = ("inertial_ppm", "appm")
 # cap keeping inertial coefficients strictly below 1/3 where convergence needs it
 _THIRD_CAP = 1.0 / 3.0 - 1e-3
 
+# variants whose next step evaluates C(z_k), or FB(z_k) = J(z_k - g C(z_k)),
+# at the iterate itself; the state carries that image
+C_CARRIED = ("moudafi_oliny",)
+FB_CARRIED = ("fbs", "fast_km")
+
 
 @dataclass(frozen=True)
 class BaselineMethod:
@@ -95,14 +100,21 @@ class BaselineMethod:
 
 @dataclass
 class BaselineState:
-    """Shared iterate record; unused slots stay None for simpler variants."""
+    """Shared iterate record; unused slots stay None for simpler variants.
+
+    ``c`` and ``fb`` are images of z_k that the variant's next step needs
+    (see ``C_CARRIED`` and ``FB_CARRIED``): the step that makes z_k
+    evaluates them once, and the next step and the residuals read them here.
+    """
 
     k: int
     z_prev: np.ndarray
     z: np.ndarray
     y_prev: Optional[np.ndarray] = None    # crifba / appm extrapolation history
     y_prev2: Optional[np.ndarray] = None   # appm second-order history
-    fb_prev: Optional[np.ndarray] = None   # fast_km cached J(z_{k-1} - g C(z_{k-1}))
+    fb_prev: Optional[np.ndarray] = None   # fast_km J(z_{k-1} - g C(z_{k-1}))
+    c: Optional[np.ndarray] = None         # moudafi_oliny C(z_k)
+    fb: Optional[np.ndarray] = None        # fbs / fast_km J(z_k - g C(z_k))
 
 
 def default_schedules(variant, k, gamma=None, alpha=None, s=None):
@@ -130,6 +142,21 @@ def default_schedules(variant, k, gamma=None, alpha=None, s=None):
     raise ConfigurationError(f"unknown baseline variant {variant!r}")
 
 
+def _fb(problem: InclusionProblem, gamma, z):
+    """J(z - gamma C(z)), evaluating C(z)."""
+    return _forward_backward(problem, gamma, z, problem.C.apply(z))
+
+
+def _carry_images(state: BaselineState, method: BaselineMethod,
+                  problem: InclusionProblem):
+    """``state`` with the images of its z_k that the variant carries."""
+    if method.variant in C_CARRIED:
+        state.c = problem.C.apply(state.z)
+    elif method.variant in FB_CARRIED:
+        state.fb = _fb(problem, method.gamma, state.z)
+    return state
+
+
 def baseline_init(method: BaselineMethod, problem: InclusionProblem, z0=None):
     """State at k=1.  FBS takes one real step; inertial variants start with
     cleared momentum history (z_1 = z_0)."""
@@ -137,16 +164,17 @@ def baseline_init(method: BaselineMethod, problem: InclusionProblem, z0=None):
     z0 = _start_point(problem, z0)
     gamma = method.gamma
     if method.variant == "fbs":
-        return BaselineState(k=1, z_prev=z0, z=_forward_backward(problem, gamma, z0))
-    state = BaselineState(k=1, z_prev=z0, z=z0.copy())
+        state = BaselineState(k=1, z_prev=z0, z=_fb(problem, gamma, z0))
+    else:
+        state = BaselineState(k=1, z_prev=z0, z=z0.copy())
     if method.variant == "crifba":
         state.y_prev = z0.copy()
     elif method.variant == "appm":
         state.y_prev = z0.copy()
         state.y_prev2 = z0.copy()
     elif method.variant == "fast_km":
-        state.fb_prev = _forward_backward(problem, gamma, z0)
-    return state
+        state.fb_prev = _fb(problem, gamma, z0)
+    return _carry_images(state, method, problem)
 
 
 def baseline_step(method: BaselineMethod, state: BaselineState,
@@ -166,20 +194,19 @@ def baseline_step(method: BaselineMethod, state: BaselineState,
     fb_prev_new = state.fb_prev
 
     if variant == "fbs":
-        z_next = _forward_backward(problem, gamma, z)
+        z_next = state.fb
     elif variant == "inertial_ppm":
         z_next = J(gamma, z + co["alpha_k"] * (z - z_prev))
     elif variant == "moudafi_oliny":
-        z_next = J(gamma, z + co["alpha_k"] * (z - z_prev) - gamma * problem.C.apply(z))
+        z_next = J(gamma, z + co["alpha_k"] * (z - z_prev) - gamma * state.c)
     elif variant == "lorenz_pock":
-        z_next = _forward_backward(problem, gamma, z + co["alpha_k"] * (z - z_prev))
+        z_next = _fb(problem, gamma, z + co["alpha_k"] * (z - z_prev))
     elif variant == "relaxed_inertial":
         y = z + co["alpha_k"] * (z - z_prev)
-        z_next = ((1.0 - co["rho_k"]) * y
-                  + co["rho_k"] * _forward_backward(problem, co["mu_k"], y))
+        z_next = (1.0 - co["rho_k"]) * y + co["rho_k"] * _fb(problem, co["mu_k"], y)
     elif variant == "crifba":
         y = z + co["alpha_k"] * (z - z_prev) + co["delta_k"] * (state.y_prev - z)
-        z_next = (1.0 - method.rho) * y + method.rho * _forward_backward(problem, gamma, y)
+        z_next = (1.0 - method.rho) * y + method.rho * _fb(problem, gamma, y)
         y_prev_new = y
     elif variant == "appm":
         y = z + co["alpha_k"] * (z - z_prev) + co["alpha_k"] * (state.y_prev2 - z_prev)
@@ -187,17 +214,16 @@ def baseline_step(method: BaselineMethod, state: BaselineState,
         y_prev2_new = state.y_prev
         y_prev_new = y
     elif variant == "fast_km":
-        fb_curr = _forward_backward(problem, gamma, z)
         z_next = (
             co["fix_weight"] * z
             + co["momentum"] * (z - z_prev)
-            + co["fb_new"] * fb_curr
+            + co["fb_new"] * state.fb
             + co["fb_old"] * state.fb_prev
         )
-        fb_prev_new = fb_curr
+        fb_prev_new = state.fb
 
     _check_finite(state, z_next)
-    return BaselineState(
+    return _carry_images(BaselineState(
         k=k + 1, z_prev=z, z=z_next,
         y_prev=y_prev_new, y_prev2=y_prev2_new, fb_prev=fb_prev_new,
-    )
+    ), method, problem)

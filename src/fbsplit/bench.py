@@ -17,6 +17,7 @@ explicitly requested, so emitted CSV files are byte-identical across
 invocations of the same config.
 """
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -29,17 +30,25 @@ from typing import Optional
 
 import numpy as np
 
-from .baselines import VARIANTS, BaselineMethod, baseline_init, baseline_step
+from .baselines import (
+    C_CARRIED,
+    FB_CARRIED,
+    VARIANTS,
+    BaselineMethod,
+    baseline_init,
+    baseline_step,
+)
 from .errors import ConfigurationError, DivergenceError
 from .ffb import (
     FfbParams,
+    _forward_backward,
     ffb_init,
     ffb_step_xi,
     ffb_step_y,
     fixed_point_residual,
     tangent_residual,
 )
-from .linalg import LinearMap
+from .linalg import LinearMap, norm
 from .operators import (
     AffineConstraint,
     GradientMap,
@@ -318,18 +327,22 @@ class _InclusionDriver:
             self.step = lambda state: baseline_step(method, state, problem)
 
     def measure(self, state, reference):
-        rtan = (
-            tangent_residual(state, self.problem)
-            if self.method_name in _FFB_METHODS
-            else math.nan
-        )
-        objective = float(self.pd.h.value(state.z)) if self.pd else math.nan
-        feasibility = self.pd.feasibility(state.z) if self.pd else math.nan
+        z, method = state.z, self.method_name
+        rtan = tangent_residual(state) if method in _FFB_METHODS else math.nan
+        # rfix = ||z_k - FB(z_k)|| from the images of z_k that the state carries
+        if method in FB_CARRIED:
+            rfix = norm(z - state.fb)
+        elif method in _FFB_METHODS or method in C_CARRIED:
+            rfix = norm(z - _forward_backward(self.problem, self.gamma, z, state.c))
+        else:
+            rfix = fixed_point_residual(z, self.problem, self.gamma)
+        objective = float(self.pd.h.value(z)) if self.pd else math.nan
+        feasibility = self.pd.feasibility(z) if self.pd else math.nan
         return IterationRecord(
             k=state.k,
-            velocity=float(np.linalg.norm(state.z - state.z_prev)),
+            velocity=norm(z - state.z_prev),
             rtan=rtan,
-            rfix=fixed_point_residual(state.z, self.problem, self.gamma),
+            rfix=rfix,
             objective=objective,
             feasibility=feasibility,
             gap=math.nan,
@@ -353,8 +366,9 @@ class _PdDriver:
             self.params = _params_from(flag_default_params(problem), config, "tau").validate()
             self._init, self._step = flag_init, flag_step
         else:
-            rows = [_params_from(pd_default_steps(c.alpha, problem), c,
-                                 "tau", "sigma").validate(problem) for c in configs]
+            # pd_init validates them, once per run
+            rows = [_params_from(pd_default_steps(c.alpha, problem), c, "tau", "sigma")
+                    for c in configs]
             if len(rows) == 1:
                 self.params = rows[0]
             else:  # a block takes each parameter as a (K, 1) column, a row per run
@@ -389,18 +403,20 @@ class _PdDriver:
             )
         if self.method_name == "flag":
             rtan = math.nan
-        else:
+            feasibility = self.problem.feasibility(state.x)
+        else:  # from the images of x_k that the state carries
             rtan = certificate_residual(state, self.problem)
+            feasibility = norm(state.ax - self.problem.b)
         return IterationRecord(
             k=state.k,
-            velocity=float(np.linalg.norm(state.x - state.x_prev)),
+            velocity=norm(state.x - state.x_prev),
             rtan=rtan,
             rfix=math.nan,
             objective=self.problem.objective(state.x),
-            feasibility=self.problem.feasibility(state.x),
+            feasibility=feasibility,
             gap=gap,
             ns=0,
-            dual_velocity=float(np.linalg.norm(state.lam - state.lam_prev)),
+            dual_velocity=norm(state.lam - state.lam_prev),
         )
 
 
@@ -575,58 +591,44 @@ def inclusion_reference(problem: InclusionProblem, budget=200_000):
     return state.z
 
 
-def _format_value(v):
-    if v is None:
-        return "nan"
-    return repr(float(v))
-
-
 def emit(records, fmt, out):
     """Write records to ``out`` plus one two-column plot file per quantity.
 
     CSV uses the fixed header and full-precision floats so parsing returns
-    the records exactly.  Returns the list of written paths.
+    the records exactly.  Each value is formatted once, and each CSV row and
+    plot-file line is written as its record is read; every file is written
+    under a temporary name and renamed into place once all are complete.
+    Returns the list of written paths.
     """
     out = Path(out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    written = []
-    if fmt == "csv":
-        lines = [CSV_HEADER]
-        for r in records:
-            lines.append(
-                ",".join(
-                    [str(r.k)]
-                    + [_format_value(getattr(r, q)) for q in _QUANTITIES]
-                    + [str(r.ns)]
-                )
-            )
-        _atomic_write(out, "\n".join(lines) + "\n")
-        written.append(out)
-    elif fmt == "json":
-        payload = [dataclasses.asdict(r) for r in records]
-        _atomic_write(out, json.dumps(payload, indent=1) + "\n")
-        written.append(out)
-    else:
+    if fmt not in ("csv", "json"):
         raise ConfigurationError(f"format must be csv or json, got {fmt!r}")
-    quantities = list(_QUANTITIES)
+    columns = len(_QUANTITIES)  # of a CSV row, between k and ns
+    quantities = _QUANTITIES
     if any(r.dual_velocity is not None for r in records):
-        quantities.append("dual_velocity")
-    for q in quantities:
-        rows = [
-            f"{r.k} {_format_value(getattr(r, q))}"
-            for r in records
-            if getattr(r, q) is not None
-        ]
-        path = out.with_suffix(f".{q}.dat")
-        _atomic_write(path, "\n".join(rows) + ("\n" if rows else ""))
-        written.append(path)
-    return written
-
-
-def _atomic_write(path, text):
-    tmp = Path(str(path) + ".tmp")
-    tmp.write_text(text)
-    tmp.replace(path)
+        quantities += ("dual_velocity",)
+    paths = [out] + [out.with_suffix(f".{q}.dat") for q in quantities]
+    temps = [Path(f"{path}.tmp") for path in paths]
+    with contextlib.ExitStack() as stack:
+        main, *plots = [stack.enter_context(open(t, "w")) for t in temps]
+        if fmt == "json":
+            payload = [dataclasses.asdict(r) for r in records]
+            main.write(json.dumps(payload, indent=1) + "\n")
+        else:
+            main.write(CSV_HEADER + "\n")
+        for r in records:
+            k = str(r.k)
+            values = [getattr(r, q) for q in quantities]
+            texts = ["nan" if v is None else repr(float(v)) for v in values]
+            if fmt == "csv":
+                main.write(f"{k},{','.join(texts[:columns])},{r.ns}\n")
+            for plot, v, text in zip(plots, values, texts):
+                if v is not None:
+                    plot.write(f"{k} {text}\n")
+    for temp, path in zip(temps, paths):
+        temp.replace(path)
+    return paths
 
 
 def read_records_csv(path):

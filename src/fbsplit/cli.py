@@ -75,12 +75,13 @@ def _parse_method_token(token):
     return overrides
 
 
-def _run_group(configs):
-    """The results of ``configs``, one lockstep group, in their order."""
+def _run_group(configs, problem=None):
+    """The results of ``configs``, one lockstep group, in their order, on
+    ``problem`` or else on the problem their config describes."""
     first, *rest = configs
     if rest:
-        return bench.run_experiment(first, lockstep=rest)
-    return [bench.run_experiment(first)]
+        return bench.run_experiment(first, problem, lockstep=rest)
+    return [bench.run_experiment(first, problem)]
 
 
 def _lockstep_groups(configs):
@@ -130,21 +131,28 @@ def cmd_compare(args):
         unknown = set(spec) - _CONFIG_FIELDS
         if unknown:
             raise ConfigurationError(f"unknown method spec keys: {sorted(unknown)}")
-        values = dataclasses.asdict(base)
-        values.update(spec)
-        alpha = values.get("alpha")
-        tag = f"{values['method']}"
-        if values["method"] in ("pd", "pd_alt", "ffb", "ffb_xi", "fast_km") and alpha:
-            tag += f"_a{alpha:g}"
-        values["out"] = str(out_dir / f"{tag}.{base.format}")
-        configs.append(ExperimentConfig(**values).validate())
+        # a shallow copy: the specs share the base's checkpoint list
+        config = dataclasses.replace(base, **spec)
+        tag = f"{config.method}"
+        if config.method in ("pd", "pd_alt", "ffb", "ffb_xi", "fast_km") and config.alpha:
+            tag += f"_a{config.alpha:g}"
+        config.out = str(out_dir / f"{tag}.{base.format}")
+        configs.append(config.validate())
     groups = _lockstep_groups(configs)
     runs = [[configs[i] for i in group] for group in groups]
     if args.jobs > 1:
+        # a problem holds a lambda and cannot be pickled: workers build their own
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             group_results = list(pool.map(_run_group, runs))
     else:
-        group_results = [_run_group(run) for run in runs]
+        problems = {}  # one per instance, shared by its groups
+        group_results = []
+        for run in runs:
+            first = run[0]
+            key = (first.problem_file, first.m, first.p, first.n, first.seed)
+            if key not in problems:
+                problems[key] = bench._build_problem(first)
+            group_results.append(_run_group(run, problems[key]))
     results = [None] * len(configs)
     for group, group_result in zip(groups, group_results):
         for i, result in zip(group, group_result):

@@ -294,9 +294,8 @@ def energy_trajectory(problem, params: FfbParams, z_star, eta, epsilon, iters):
     e_vals = np.empty(iters)
     f_vals = np.empty(iters)
     for i in range(iters):
-        c_curr = problem.C.apply(state.z)
         e_vals[i] = energy_E(eta, state, z_star, params)
-        f_vals[i] = energy_F(eta, epsilon, state, z_star, params, c_curr=c_curr)
+        f_vals[i] = energy_F(eta, epsilon, state, z_star, params, c_curr=state.c)
         if i + 1 < iters:
             state = ffb_step_y(state, problem, params)
     return e_vals, f_vals

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError
-from .linalg import as_vector
+from .linalg import as_vector, norm
 from .operators import InclusionProblem
 
 __all__ = [
@@ -87,8 +87,10 @@ class FfbState:
     """Rolling window of the iteration at index k >= 1.
 
     ``z_prev`` is z_{k-1}, ``z`` is z_k, ``y`` is y_{k-1}, ``xi`` the
-    certificate element of M(z_k), and ``c_prev`` caches C(z_{k-1}).  The
-    identity xi = (y - z)/gamma - c_prev holds exactly after every step.
+    certificate element of M(z_k), ``c_prev`` is C(z_{k-1}) and ``c`` is
+    C(z_k).  The step that makes z_k evaluates C(z_k) once, and the next
+    step and the residuals read it here.  The identity
+    xi = (y - z)/gamma - c_prev holds exactly after every step.
     """
 
     k: int
@@ -97,6 +99,7 @@ class FfbState:
     y: np.ndarray
     xi: np.ndarray
     c_prev: np.ndarray
+    c: np.ndarray
 
 
 def _extrapolation_coefficients(alpha, k):
@@ -110,9 +113,10 @@ def _extrapolate(cur, prev, anchor, m, c):
     return cur + m * (cur - prev) + c * (anchor - cur)
 
 
-def _forward_backward(problem: InclusionProblem, gamma, u):
-    """J_{gamma M}(u - gamma C(u)), the map every method is built from."""
-    return problem.M.resolvent(gamma, u - gamma * problem.C.apply(u))
+def _forward_backward(problem: InclusionProblem, gamma, u, c):
+    """J_{gamma M}(u - gamma c) with c = C(u), the map every method is built
+    from; the caller passes the forward image it makes or carries."""
+    return problem.M.resolvent(gamma, u - gamma * c)
 
 
 def _check_finite(state, *arrays):
@@ -137,18 +141,19 @@ def _start_point(problem: InclusionProblem, z0):
     return as_vector(z0, dim=dim, name="z0")
 
 
-def _advance(state, problem: InclusionProblem, gamma, z, y):
-    """The state after ``state`` (None before k=1): z_{k+1} = J_{gamma M}(y_k
-    - gamma C(z_k)) and xi_{k+1} = (y_k - z_{k+1})/gamma - C(z_k), which is
-    non-finite whenever z_{k+1} is."""
-    c = problem.C.apply(z)
+def _advance(state, problem: InclusionProblem, gamma, z, y, c):
+    """The state after ``state`` (None before k=1), from z_k, y_k and
+    c = C(z_k): z_{k+1} = J_{gamma M}(y_k - gamma c) and
+    xi_{k+1} = (y_k - z_{k+1})/gamma - c, which is non-finite whenever
+    z_{k+1} is, with C(z_{k+1})."""
     u = y - gamma * c
     _check_finite(state, u)
     z_next = problem.M.resolvent(gamma, u)
     xi_next = (y - z_next) / gamma - c
     _check_finite(state, xi_next)
     k = 1 if state is None else state.k + 1
-    return FfbState(k=k, z_prev=z, z=z_next, y=y, xi=xi_next, c_prev=c)
+    return FfbState(k=k, z_prev=z, z=z_next, y=y, xi=xi_next, c_prev=c,
+                    c=problem.C.apply(z_next))
 
 
 def ffb_init(problem: InclusionProblem, params: FfbParams, z0=None, y0=None):
@@ -156,14 +161,14 @@ def ffb_init(problem: InclusionProblem, params: FfbParams, z0=None, y0=None):
     params = params.resolve(problem.beta)
     z0 = _start_point(problem, z0)
     y0 = z0.copy() if y0 is None else as_vector(y0, dim=z0.shape[0], name="y0")
-    return _advance(None, problem, params.gamma, z0, y0)
+    return _advance(None, problem, params.gamma, z0, y0, problem.C.apply(z0))
 
 
 def ffb_step_y(state: FfbState, problem: InclusionProblem, params: FfbParams):
     """Advance one iteration using the extrapolation form."""
     m, c = _extrapolation_coefficients(params.alpha, state.k)
     y_k = _extrapolate(state.z, state.z_prev, state.y, m, c)
-    return _advance(state, problem, params.gamma, state.z, y_k)
+    return _advance(state, problem, params.gamma, state.z, y_k, state.c)
 
 
 def ffb_step_xi(state: FfbState, problem: InclusionProblem, params: FfbParams):
@@ -176,7 +181,7 @@ def ffb_step_xi(state: FfbState, problem: InclusionProblem, params: FfbParams):
     k, gamma, alpha = state.k, params.gamma, params.alpha
     m, _ = _extrapolation_coefficients(alpha, k)
     w = (2.0 * k + alpha) / (2.0 * (k + alpha))
-    c_k = problem.C.apply(state.z)
+    c_k = state.c
     t = state.xi + state.c_prev
     dz = state.z - state.z_prev
     u = state.z - gamma * c_k + m * dz + w * gamma * t
@@ -185,16 +190,17 @@ def ffb_step_xi(state: FfbState, problem: InclusionProblem, params: FfbParams):
     xi_next = (state.z - z_next + m * dz) / gamma + w * t - c_k
     _check_finite(state, xi_next)
     y_k = z_next + gamma * (xi_next + c_k)
-    return FfbState(k=k + 1, z_prev=state.z, z=z_next, y=y_k, xi=xi_next, c_prev=c_k)
+    return FfbState(k=k + 1, z_prev=state.z, z=z_next, y=y_k, xi=xi_next, c_prev=c_k,
+                    c=problem.C.apply(z_next))
 
 
-def tangent_residual(state: FfbState, problem: InclusionProblem):
+def tangent_residual(state: FfbState):
     """||xi_k + C(z_k)||, an upper bound on dist(0, M(z_k) + C(z_k)).
 
     The bound is certified by the maintained xi_k in M(z_k); the infimum over
-    all of M(z_k) is not computed.
+    all of M(z_k) is not computed.  C(z_k) is the image the state carries.
     """
-    return float(np.linalg.norm(state.xi + problem.C.apply(state.z)))
+    return norm(state.xi + state.c)
 
 
 def fixed_point_residual(z, problem: InclusionProblem, gamma):
@@ -202,4 +208,4 @@ def fixed_point_residual(z, problem: InclusionProblem, gamma):
     if not gamma > 0:
         raise ConfigurationError(f"gamma must be positive, got {gamma}")
     z = np.asarray(z, dtype=float)
-    return float(np.linalg.norm(z - _forward_backward(problem, gamma, z)))
+    return norm(z - _forward_backward(problem, gamma, z, problem.C.apply(z)))

@@ -5,11 +5,12 @@ boundary that keeps NaN/Inf out of solver state.  Lockstep runs stack their
 vectors as the rows of a ``(K, dim)`` block.
 """
 
+import math
 import warnings
 
 import numpy as np
 
-__all__ = ["as_vector", "inner", "LinearMap", "identity", "operator_norm"]
+__all__ = ["as_vector", "inner", "norm", "LinearMap", "identity", "operator_norm"]
 
 
 def as_vector(x, dim=None, name="vector"):
@@ -33,6 +34,15 @@ def inner(u, v):
     if u.shape != v.shape:
         raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
     return float(np.dot(u, v))
+
+
+def norm(v):
+    """Euclidean norm of a 1-D float64 array as a float.
+
+    This is the formula ``np.linalg.norm`` applies to such an array, so the
+    result is the same bit for bit, without that function's argument handling.
+    """
+    return math.sqrt(v.dot(v))
 
 
 class LinearMap:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .ffb import _check_finite, _extrapolate, _extrapolation_coefficients
-from .linalg import LinearMap, as_vector, inner, operator_norm
+from .linalg import LinearMap, as_vector, inner, norm, operator_norm
 from .operators import ResolventOperator, SmoothTerm
 
 __all__ = [
@@ -93,7 +93,7 @@ class PdProblem:
         return float(self.f_value(x)) + float(self.h.value(x))
 
     def feasibility(self, x):
-        return float(np.linalg.norm(self.A.apply(x) - self.b))
+        return norm(self.A.apply(x) - self.b)
 
 
 @dataclass(frozen=True)
@@ -144,7 +144,7 @@ def pd_default_steps(alpha, problem: PdProblem):
     margin = 1.0 - 0.99 * 3.0 * (alpha - 2.0) / (8.0 * (alpha - 1.0))
     beta = problem.beta
     tau = 0.99 / (problem.a_norm + (margin / beta if math.isfinite(beta) else 0.0))
-    return PdParams(alpha=alpha, tau=tau, sigma=tau).validate(problem)
+    return PdParams(alpha=alpha, tau=tau, sigma=tau)
 
 
 @dataclass
@@ -153,8 +153,11 @@ class PdState:
 
     ``v`` and ``dual_extrap`` hold the extrapolated points v_{k-1} and
     eta_{k-1} that produced (x_k, lam_k); ``w`` is the primal certificate
-    w_k; ``grad_prev`` caches grad h(x_{k-1}).  States produced by the
-    alternative stepper leave v/dual_extrap as None.
+    w_k; ``grad_prev`` is grad h(x_{k-1}), ``grad`` is grad h(x_k) and
+    ``ax`` is A x_k.  The step that makes x_k evaluates grad h(x_k) and
+    A x_k once, and the next step and the checkpoint metrics read them
+    here.  States produced by the alternative stepper leave v/dual_extrap
+    as None.
     """
 
     k: int
@@ -166,6 +169,8 @@ class PdState:
     dual_extrap: Optional[np.ndarray]
     w: np.ndarray
     grad_prev: np.ndarray
+    grad: np.ndarray
+    ax: np.ndarray
 
 
 def pd_init(problem: PdProblem, params: PdParams, x0=None, v0=None,
@@ -193,8 +198,8 @@ def pd_init(problem: PdProblem, params: PdParams, x0=None, v0=None,
     lam1 = eta0 + sigma * (ax1 - problem.b) + sigma * (ax1 - problem.A.apply(v0))
     w1 = (v0 - x1) / tau + problem.A.adjoint_apply(lam1 - eta0) - g0
     _check_finite(None, lam1, w1)
-    return PdState(k=1, x_prev=x0, x=x1, lam_prev=lam0, lam=lam1,
-                   v=v0, dual_extrap=eta0, w=w1, grad_prev=g0)
+    return PdState(k=1, x_prev=x0, x=x1, lam_prev=lam0, lam=lam1, v=v0, dual_extrap=eta0,
+                   w=w1, grad_prev=g0, grad=problem.h.gradient(x1), ax=ax1)
 
 
 def pd_step(state: PdState, problem: PdProblem, params: PdParams):
@@ -208,7 +213,7 @@ def pd_step(state: PdState, problem: PdProblem, params: PdParams):
         )
     v_k = _extrapolate(state.x, state.x_prev, state.v, m_c, c_c)
     eta_k = _extrapolate(state.lam, state.lam_prev, state.dual_extrap, m_c, c_c)
-    g_k = problem.h.gradient(state.x)
+    g_k = state.grad
     u = v_k - tau * problem.A.adjoint_apply(eta_k) - tau * g_k
     _check_finite(state, u)
     x_next = problem.f_prox.resolvent(tau, u)
@@ -216,8 +221,9 @@ def pd_step(state: PdState, problem: PdProblem, params: PdParams):
     lam_next = eta_k + sigma * (2.0 * ax_next - problem.b - problem.A.apply(v_k))
     w_next = (v_k - x_next) / tau + problem.A.adjoint_apply(lam_next - eta_k) - g_k
     _check_finite(state, lam_next, w_next)
-    return PdState(k=k + 1, x_prev=state.x, x=x_next, lam_prev=state.lam,
-                   lam=lam_next, v=v_k, dual_extrap=eta_k, w=w_next, grad_prev=g_k)
+    return PdState(k=k + 1, x_prev=state.x, x=x_next, lam_prev=state.lam, lam=lam_next,
+                   v=v_k, dual_extrap=eta_k, w=w_next, grad_prev=g_k,
+                   grad=problem.h.gradient(x_next), ax=ax_next)
 
 
 def pd_step_alternative(state: PdState, problem: PdProblem, params: PdParams):
@@ -232,12 +238,12 @@ def pd_step_alternative(state: PdState, problem: PdProblem, params: PdParams):
     A, At = problem.A.apply, problem.A.adjoint_apply
     dx = state.x - state.x_prev
     dlam = state.lam - state.lam_prev
-    g_k = problem.h.gradient(state.x)
+    g_k = state.grad
     u = (state.x - tau * (g_k + At(state.lam)) + m_c * dx
          - tau * m_c * At(dlam) + c_c * tau * (state.w + state.grad_prev))
     _check_finite(state, u)
     x_next = problem.f_prox.resolvent(tau, u)
-    ax = A(state.x)
+    ax = state.ax
     ax_next = A(x_next)
     lam_next = (
         state.lam + sigma * (ax_next - problem.b) + m_c * dlam
@@ -251,8 +257,9 @@ def pd_step_alternative(state: PdState, problem: PdProblem, params: PdParams):
         - g_k
     )
     _check_finite(state, lam_next, w_next)
-    return PdState(k=k + 1, x_prev=state.x, x=x_next, lam_prev=state.lam,
-                   lam=lam_next, v=None, dual_extrap=None, w=w_next, grad_prev=g_k)
+    return PdState(k=k + 1, x_prev=state.x, x=x_next, lam_prev=state.lam, lam=lam_next,
+                   v=None, dual_extrap=None, w=w_next, grad_prev=g_k,
+                   grad=problem.h.gradient(x_next), ax=ax_next)
 
 
 def pd_zeta(state: PdState, problem: PdProblem, params: PdParams):
@@ -268,10 +275,9 @@ def pd_zeta(state: PdState, problem: PdProblem, params: PdParams):
 
 
 def certificate_residual(state: PdState, problem: PdProblem):
-    """Norm of (w_k + grad h(x_k), b - A x_k); vanishes at optimality."""
-    top = state.w + problem.h.gradient(state.x)
-    bottom = problem.b - problem.A.apply(state.x)
-    return float(math.hypot(np.linalg.norm(top), np.linalg.norm(bottom)))
+    """Norm of (w_k + grad h(x_k), b - A x_k); vanishes at optimality.
+    grad h(x_k) and A x_k are the images the state carries."""
+    return math.hypot(norm(state.w + state.grad), norm(problem.b - state.ax))
 
 
 def certificate_subgradient(state: PdState, problem: PdProblem):

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
 
+from fbsplit import bench
 from fbsplit.bench import (
     CSV_HEADER,
     METHODS,
@@ -24,15 +26,17 @@ from fbsplit.bench import (
     save_problem,
 )
 from fbsplit.errors import ConfigurationError
-from fbsplit.linalg import identity
+from fbsplit.ffb import fixed_point_residual
+from fbsplit.linalg import LinearMap, identity
 from fbsplit.operators import (
+    AffineConstraint,
     CocoerciveMap,
     InclusionProblem,
     L1Subdifferential,
     ZeroOperator,
     ZeroSmoothTerm,
 )
-from fbsplit.primal_dual import PdProblem
+from fbsplit.primal_dual import PdParams, PdProblem
 
 
 def test_generate_problem_deterministic():
@@ -363,3 +367,193 @@ def test_read_records_csv_rejects_foreign_file(tmp_path):
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError):
         read_records_csv(path)
+
+
+def test_emit_golden_bytes(tmp_path):
+    # NaN columns, a roundoff-sized and a huge value, dual velocities absent,
+    # present with a gap, and the json format
+    records = [
+        IterationRecord(k=1, velocity=0.5, rtan=math.nan, rfix=0.1, objective=2.0,
+                        feasibility=0.3, gap=math.nan, ns=0),
+        IterationRecord(k=2, velocity=1e-20, rtan=math.nan, rfix=1 / 3, objective=-1.25,
+                        feasibility=0.0, gap=math.nan, ns=7),
+        IterationRecord(k=10, velocity=0.05, rtan=math.nan, rfix=0.01, objective=1.5e300,
+                        feasibility=0.03, gap=0.7, ns=12),
+    ]
+    csv = (
+        "k,velocity,rtan,rfix,objective,feasibility,gap,ns\n"
+        "1,0.5,nan,0.1,2.0,0.3,nan,0\n"
+        "2,1e-20,nan,0.3333333333333333,-1.25,0.0,nan,7\n"
+        "10,0.05,nan,0.01,1.5e+300,0.03,0.7,12\n"
+    )
+    plots = {
+        "velocity": "1 0.5\n2 1e-20\n10 0.05\n",
+        "rtan": "1 nan\n2 nan\n10 nan\n",
+        "rfix": "1 0.1\n2 0.3333333333333333\n10 0.01\n",
+        "objective": "1 2.0\n2 -1.25\n10 1.5e+300\n",
+        "feasibility": "1 0.3\n2 0.0\n10 0.03\n",
+        "gap": "1 nan\n2 nan\n10 0.7\n",
+    }
+
+    def check(out, main, plots):
+        written = emit(records, out.suffix[1:], out)
+        assert written == [out] + [out.with_suffix(f".{q}.dat") for q in plots]
+        assert out.read_bytes() == main.encode()
+        for q, text in plots.items():
+            assert out.with_suffix(f".{q}.dat").read_bytes() == text.encode(), q
+
+    check(tmp_path / "a.csv", csv, plots)
+    records[0].dual_velocity, records[2].dual_velocity = 0.25, 0.125
+    with_dual = {**plots, "dual_velocity": "1 0.25\n10 0.125\n"}
+    check(tmp_path / "b.csv", csv, with_dual)
+    entries = [
+        ("1", "0.5", "NaN", "0.1", "2.0", "0.3", "NaN", "0", "0.25"),
+        ("2", "1e-20", "NaN", "0.3333333333333333", "-1.25", "0.0", "NaN", "7", "null"),
+        ("10", "0.05", "NaN", "0.01", "1.5e+300", "0.03", "0.7", "12", "0.125"),
+    ]
+    fields = ("k", "velocity", "rtan", "rfix", "objective", "feasibility", "gap", "ns",
+              "dual_velocity")
+    json_text = "[\n" + ",\n".join(
+        " {\n" + ",\n".join(f'  "{f}": {v}' for f, v in zip(fields, e)) + "\n }"
+        for e in entries) + "\n]\n"
+    check(tmp_path / "c.json", json_text, with_dual)
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+# every-iteration checkpoints on a small instance, for the image checks below
+_DENSE = dict(m=4, p=6, n=10, seed=3, iters=40, checkpoints=list(range(1, 41)))
+_INCLUSION_METHODS = ("ffb", "ffb_xi", "fbs", "fast_km", "crifba", "lorenz_pock",
+                      "moudafi_oliny", "relaxed_inertial")
+
+
+def _fresh_record(state, problem, runner):
+    """The checkpoint record of ``state``, with C, FB, grad h and A applied
+    afresh rather than read from the state."""
+    if isinstance(runner, bench._PdDriver):
+        x = state.x
+        top = state.w + problem.h.gradient(x)
+        bottom = problem.b - problem.A.apply(x)
+        return IterationRecord(
+            k=state.k, velocity=float(np.linalg.norm(x - state.x_prev)),
+            rtan=float(math.hypot(np.linalg.norm(top), np.linalg.norm(bottom))),
+            rfix=math.nan, objective=problem.objective(x),
+            feasibility=float(np.linalg.norm(problem.A.apply(x) - problem.b)), gap=math.nan,
+            dual_velocity=float(np.linalg.norm(state.lam - state.lam_prev)))
+    z, inclusion = state.z, runner.problem
+    rtan = math.nan
+    if runner.method_name in ("ffb", "ffb_xi"):
+        rtan = float(np.linalg.norm(state.xi + inclusion.C.apply(z)))
+    return IterationRecord(
+        k=state.k, velocity=float(np.linalg.norm(z - state.z_prev)), rtan=rtan,
+        rfix=fixed_point_residual(z, inclusion, runner.gamma),
+        objective=float(problem.h.value(z)),
+        feasibility=float(np.linalg.norm(problem.A.apply(z) - problem.b)), gap=math.nan)
+
+
+def _fresh_records(config, problem):
+    """The records of a run of ``config``, each recomputed from its state."""
+    if config.method in ("pd", "pd_alt"):
+        runner = bench._PdDriver([config], problem)
+    else:
+        runner = bench._InclusionDriver(config, problem)
+    state = runner.init()
+    records = [_fresh_record(state, problem, runner)]
+    while state.k < config.iters:
+        state = runner.step(state)
+        records.append(_fresh_record(state, problem, runner))
+    return records
+
+
+@pytest.mark.parametrize("method", _INCLUSION_METHODS + ("pd", "pd_alt"))
+def test_checkpoints_equal_a_recomputation_from_scratch(method):
+    # a state whose carried image is stale, or taken from the wrong
+    # iterate, gives a record that differs from the recomputed one
+    config = ExperimentConfig(method=method, **_DENSE)
+    problem = generate_problem(4, 6, 10, seed=3)
+    assert records_equal(run_experiment(config, problem=problem).records,
+                         _fresh_records(config, problem))
+
+
+@pytest.mark.parametrize("method", ["pd", "pd_alt"])
+def test_lockstep_checkpoints_equal_a_recomputation_from_scratch(method):
+    # the rows of a block read the block's carried images
+    configs = [ExperimentConfig(method=method, alpha=alpha, **_DENSE) for alpha in (5.0, 10.0)]
+    problem = generate_problem(4, 6, 10, seed=3)
+    results = run_experiment(configs[0], problem=problem, lockstep=configs[1:])
+    for config, result in zip(configs, results):
+        assert records_equal(result.records, _fresh_records(config, problem))
+
+
+class _ProductCounter:
+    """Counts matrix products as the benchmark's tracer does: one per
+    LinearMap application, plus one for a projection's pseudo-inverse."""
+
+    def __init__(self, monkeypatch):
+        self.count = 0
+        for owner, name, own in ((LinearMap, "apply", 1), (LinearMap, "adjoint_apply", 1),
+                                 (AffineConstraint, "project", 1)):
+            monkeypatch.setattr(owner, name, self._counted(getattr(owner, name), own))
+
+    def _counted(self, fn, own):
+        def counted(*args):
+            self.count += own
+            return fn(*args)
+        return counted
+
+    def per_call(self, monkeypatch, owner, name):
+        """The products made by each call of ``owner.name``, as a list
+        that fills as it is called."""
+        calls = []
+        fn = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            before = self.count
+            out = fn(*args, **kwargs)
+            calls.append(self.count - before)
+            return out
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+
+@pytest.mark.parametrize("method,measure_products,step_name,step_products", [
+    ("ffb", 4, "ffb_step_y", 4),
+    ("ffb_xi", 4, "ffb_step_xi", 4),
+    ("fbs", 2, "baseline_step", 4),
+    ("fast_km", 2, "baseline_step", 4),
+    ("moudafi_oliny", 4, "baseline_step", 4),
+    ("crifba", 6, "baseline_step", 4),
+    ("lorenz_pock", 6, "baseline_step", 4),
+    ("relaxed_inertial", 6, "baseline_step", 4),
+    ("pd", 1, "pd_step", 6),
+])
+def test_checkpoint_and_step_products(monkeypatch, method, measure_products, step_name,
+                                      step_products):
+    counter = _ProductCounter(monkeypatch)
+    runner = bench._PdDriver if method == "pd" else bench._InclusionDriver
+    measures = counter.per_call(monkeypatch, runner, "measure")
+    steps = counter.per_call(monkeypatch, bench, step_name)
+    run_experiment(ExperimentConfig(method=method, **_DENSE))
+    assert len(measures) == 40 and max(measures) <= measure_products
+    assert steps == [step_products] * 39
+
+
+def test_pd_params_validated_once_per_run(monkeypatch):
+    rows = []
+    validate = PdParams.validate
+
+    def counted(self, problem):
+        if not np.ndim(self.tau):  # a block validates each of its rows
+            rows.append(self.alpha)
+        return validate(self, problem)
+
+    monkeypatch.setattr(PdParams, "validate", counted)
+    config = ExperimentConfig(method="pd", m=3, p=4, n=6, seed=2, iters=20)
+    run_experiment(config)
+    assert rows == [5.0]
+    rows.clear()
+    run_experiment(config, lockstep=[dataclasses.replace(config, alpha=a) for a in (3.0, 10.0)])
+    assert rows == [5.0, 3.0, 10.0]
+    # a step size outside the admissible range is still refused
+    with pytest.raises(ConfigurationError, match="tau"):
+        run_experiment(dataclasses.replace(config, tau=100.0, sigma=100.0))

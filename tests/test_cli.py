@@ -258,3 +258,28 @@ def test_solve_names_the_divergence_iteration(capsys):
                      "--p", "4", "--n", "6", "--iters", "50"])
     assert code == cli.EXIT_DIVERGED
     assert "run diverged at k=" in capsys.readouterr().err
+
+
+def test_compare_builds_each_problem_once(monkeypatch, tmp_path):
+    # pd:5 and pd:10 run as one lockstep group and flag as another, on one
+    # problem; every file equals the one a separate solve writes
+    solo, group = tmp_path / "solo", tmp_path / "group"
+    for method, alpha, stem in (("pd", "5", "pd_a5"), ("pd", "10", "pd_a10"),
+                                ("flag", "5", "flag")):
+        assert cli.main(["solve", "--method", method, "--alpha", alpha, *_SWEEP,
+                         "--out", str(solo / f"{stem}.csv")]) == 0
+    calls = []
+    generate = bench.generate_problem
+
+    def spy(*args):
+        calls.append(args)
+        return generate(*args)
+
+    monkeypatch.setattr(bench, "generate_problem", spy)
+    assert cli.main(["compare", "--methods", "pd:5,pd:10,flag", *_SWEEP,
+                     "--out", str(group)]) == 0
+    assert calls == [(5, 8, 12, 1)]
+    names = sorted(p.name for p in solo.iterdir())
+    assert names == sorted(p.name for p in group.iterdir())
+    for name in names:
+        assert (group / name).read_bytes() == (solo / name).read_bytes(), name

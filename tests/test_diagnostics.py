@@ -91,6 +91,7 @@ def _random_state(rng, dim=6, k=7):
         y=rng.standard_normal(dim),
         xi=rng.standard_normal(dim),
         c_prev=rng.standard_normal(dim),
+        c=np.zeros(dim),
     )
 
 
@@ -110,7 +111,7 @@ def test_energy_zero_at_stationary_state():
     dim = 4
     z_star = np.ones(dim)
     state = FfbState(k=9, z_prev=z_star.copy(), z=z_star.copy(), y=z_star.copy(),
-                     xi=np.zeros(dim), c_prev=np.zeros(dim))
+                     xi=np.zeros(dim), c_prev=np.zeros(dim), c=np.zeros(dim))
     params = FfbParams(alpha=5.0, gamma=0.3)
     assert energy_E(1.0, state, z_star, params) == 0.0
     assert energy_F(1.0, 0.2, state, z_star, params, c_curr=np.zeros(dim)) == 0.0

@@ -114,7 +114,7 @@ def _hand_state():
     # z0 = z1 = y0 = 1 with M = 0 and C(z) = z, gamma = 0.5
     one = np.array([1.0])
     return FfbState(k=1, z_prev=one.copy(), z=one.copy(), y=one.copy(),
-                    xi=np.array([-1.0]), c_prev=one.copy())
+                    xi=np.array([-1.0]), c_prev=one.copy(), c=one.copy())
 
 
 def test_step_y_hand_trace():
@@ -168,12 +168,11 @@ def test_tangent_residual_values():
     prob = InclusionProblem(L1Subdifferential(), ZeroMap())
     state = ffb_init(prob, FfbParams(alpha=3.0, gamma=1.0),
                      z0=np.array([0.0]), y0=np.array([3.0]))
-    assert tangent_residual(state, prob) == pytest.approx(1.0)
-    # exact zero: xi = -C(z*)
-    prob2 = scalar_problem()
+    assert tangent_residual(state) == pytest.approx(1.0)
+    # exact zero: xi = -C(z*) for C(z) = z at z* = 0
     state2 = FfbState(k=1, z_prev=np.zeros(1), z=np.zeros(1), y=np.zeros(1),
-                      xi=np.zeros(1), c_prev=np.zeros(1))
-    assert tangent_residual(state2, prob2) == 0.0
+                      xi=np.zeros(1), c_prev=np.zeros(1), c=np.zeros(1))
+    assert tangent_residual(state2) == 0.0
 
 
 def test_fixed_point_residual_values():
