@@ -84,6 +84,23 @@ def _run_group(configs, problem=None):
     return [bench.run_experiment(first, problem)]
 
 
+def _group_results(runs, jobs):
+    """Yield the results of each lockstep group in ``runs``, in order, each
+    as soon as it is ready."""
+    if jobs > 1:
+        # a problem holds a lambda and cannot be pickled: workers build their own
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            yield from pool.map(_run_group, runs)
+        return
+    problems = {}  # one per instance, shared by its groups
+    for run in runs:
+        first = run[0]
+        key = (first.problem_file, first.m, first.p, first.n, first.seed)
+        if key not in problems:
+            problems[key] = bench._build_problem(first)
+        yield _run_group(run, problems[key])
+
+
 def _lockstep_groups(configs):
     """The indices of ``configs`` by lockstep group, in order of first
     appearance; a config no other can join forms a group of its own."""
@@ -140,26 +157,16 @@ def cmd_compare(args):
         configs.append(config.validate())
     groups = _lockstep_groups(configs)
     runs = [[configs[i] for i in group] for group in groups]
-    if args.jobs > 1:
-        # a problem holds a lambda and cannot be pickled: workers build their own
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            group_results = list(pool.map(_run_group, runs))
-    else:
-        problems = {}  # one per instance, shared by its groups
-        group_results = []
-        for run in runs:
-            first = run[0]
-            key = (first.problem_file, first.m, first.p, first.n, first.seed)
-            if key not in problems:
-                problems[key] = bench._build_problem(first)
-            group_results.append(_run_group(run, problems[key]))
+    # of two specs writing one file the later wins, so only it writes
+    writer = {config.out: i for i, config in enumerate(configs)}
     results = [None] * len(configs)
-    for group, group_result in zip(groups, group_results):
+    for group, group_result in zip(groups, _group_results(runs, args.jobs)):
         for i, result in zip(group, group_result):
-            results[i] = result
-    # in spec order, so that of two specs writing one file the later wins
-    for config, result in zip(configs, results):
-        bench.emit(result.records, config.format, config.out)
+            if writer[configs[i].out] == i:
+                bench.emit(result.records, configs[i].format, configs[i].out)
+            # the table needs only the last record
+            results[i] = dataclasses.replace(result, records=result.records[-1:])
+        del group_result, result  # free the records before the next group runs
     diverged = False
     print(f"{'method':<12} {'k':>8} {'velocity':>13} {'objective':>16} {'feasibility':>13}")
     for config, result in zip(configs, results):

@@ -174,9 +174,10 @@ class ZeroSmoothTerm(SmoothTerm):
 def quadratic_term(B: LinearMap, c):
     """Build the quadratic term 0.5*||Bx-c||^2 with an estimated safe modulus.
 
-    beta = 0.999 / ||B||^2 with the norm from power iteration; the shrink
-    keeps step-size rules strictly inside their admissible ranges even when
-    the norm estimate is marginally low.
+    beta = 0.999 / ||B||^2 with the norm from Golub-Kahan bidiagonalization.
+    That estimate still approaches ||B|| from below and stops on a relative
+    change, so it can read low by about 1e-12; the shrink keeps step-size
+    rules strictly inside their admissible ranges all the same.
     """
     n = operator_norm(B)
     beta = math.inf if n == 0.0 else 0.999 / (n * n)

@@ -283,3 +283,39 @@ def test_compare_builds_each_problem_once(monkeypatch, tmp_path):
     assert names == sorted(p.name for p in group.iterdir())
     for name in names:
         assert (group / name).read_bytes() == (solo / name).read_bytes(), name
+
+
+def test_compare_writes_each_group_before_the_next_runs(monkeypatch, tmp_path):
+    events = []
+    run, emit = bench.run_experiment, bench.emit
+
+    def run_spy(config, problem=None, reference=None, lockstep=None):
+        events.append(("run", Path(config.out).stem))
+        return run(config, problem, reference, lockstep)
+
+    def emit_spy(records, fmt, out):
+        events.append(("emit", Path(out).stem))
+        return emit(records, fmt, out)
+
+    monkeypatch.setattr(cli.bench, "run_experiment", run_spy)
+    monkeypatch.setattr(cli.bench, "emit", emit_spy)
+    assert cli.main(["compare", "--methods", "pd:5,pd:10,flag", *_SWEEP,
+                     "--out", str(tmp_path)]) == 0
+    assert events == [("run", "pd_a5"), ("emit", "pd_a5"), ("emit", "pd_a10"),
+                      ("run", "flag"), ("emit", "flag")]
+
+
+def test_compare_later_spec_writing_a_file_wins_across_groups(tmp_path, capsys):
+    # specs 0 and 2 run first as one group; spec 1, a group of its own, runs
+    # after them, yet spec 2 is the later writer of pd_a10.csv
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"methods": [
+        {"method": "pd", "alpha": 5, "iters": 40},
+        {"method": "pd", "alpha": 10, "iters": 20},
+        {"method": "pd", "alpha": 10, "iters": 40}]}))
+    out = tmp_path / "out"
+    assert cli.main(["compare", "--config", str(cfg), "--m", "3", "--p", "4",
+                     "--n", "6", "--out", str(out)]) == 0
+    assert bench.read_records_csv(out / "pd_a10.csv")[-1].k == 40
+    rows = [line.split()[:2] for line in capsys.readouterr().out.splitlines()[1:]]
+    assert rows == [["pd_a5", "40"], ["pd_a10", "20"], ["pd_a10", "40"]]

@@ -82,6 +82,57 @@ def test_operator_norm_seed_reproducible():
     assert operator_norm(A, seed=123) == operator_norm(A, seed=123)
 
 
+def _oracle_cases():
+    rng = np.random.default_rng(11)
+    return {
+        "1xn": rng.standard_normal((1, 40)),
+        "nx1": rng.standard_normal((40, 1)),
+        "wide": rng.standard_normal((30, 80)),
+        "tall": rng.standard_normal((80, 30)),
+        "rank-1": np.outer(rng.standard_normal(40), rng.standard_normal(60)),
+        "rank-20": rng.standard_normal((20, 100)),
+        "zero": np.zeros((7, 5)),
+        "diagonal": np.diag([5.0, 4.9999, 3.0, 2.0, 0.5, 0.1]),
+    }
+
+
+@pytest.mark.parametrize("name", list(_oracle_cases()))
+def test_operator_norm_exact_to_roundoff(name):
+    # Golub-Kahan bidiagonalization converges to the top singular value
+    # from below: within 1e-12 of the SVD, never above it past roundoff
+    m = _oracle_cases()[name]
+    oracle = np.linalg.svd(m, compute_uv=False)[0]
+    for seed in range(5):
+        est = operator_norm(LinearMap(m), seed=seed)
+        assert abs(est - oracle) <= 1e-12 * oracle
+        assert est <= oracle * (1.0 + 1e-14)
+
+
+class _CountingMap(LinearMap):
+    def __init__(self, matrix):
+        super().__init__(matrix)
+        self.products = 0
+
+    def apply(self, v):
+        self.products += 1
+        return super().apply(v)
+
+    def adjoint_apply(self, u):
+        self.products += 1
+        return super().adjoint_apply(u)
+
+
+def test_operator_norm_products_on_the_large_quadratic():
+    # the B of generate_problem(100, 500, 1000, seed=1), drawn in its order
+    rng = np.random.default_rng(1)
+    rng.standard_normal((100, 1000))
+    B = _CountingMap(rng.standard_normal((500, 1000)))
+    est = operator_norm(B)
+    assert B.products <= 200
+    oracle = np.linalg.svd(B.matrix, compute_uv=False)[0]
+    assert abs(est - oracle) <= 1e-11 * oracle
+
+
 def test_identity_map():
     I = identity(3)
     v = np.array([1.0, -2.0, 0.5])
