@@ -198,8 +198,7 @@ def generate_problem(m, p, n, seed):
 def _l1_least_squares(a_mat, b, b_mat, c):
     """min ||x||_1 + 0.5*||Bx - c||^2 subject to Ax = b."""
     return PdProblem(
-        f_prox=L1Subdifferential(),
-        f_value=lambda x: float(np.sum(np.abs(x))),
+        f=L1Subdifferential(),
         h=quadratic_term(LinearMap(b_mat), c),
         A=LinearMap(a_mat),
         b=b,

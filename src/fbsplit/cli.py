@@ -8,6 +8,7 @@ import dataclasses
 import functools
 import json
 import sys
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -19,7 +20,12 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 
-_CONFIG_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
+# each field's type, followed by NoneType if the field is optional
+_CONFIG_TYPES = {name: typing.get_args(kind) or (kind,)
+                 for name, kind in typing.get_type_hints(ExperimentConfig).items()}
+_CONFIG_FIELDS = set(_CONFIG_TYPES)
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string",
+               bool: "true or false", list: "a list of integers"}
 
 
 def _add_common(parser):
@@ -49,11 +55,29 @@ def _add_run_options(parser):
 
 def _file_values(args):
     """The fields of the ``--config`` file, if one is given."""
-    return json.loads(Path(args.config).read_text()) if args.config else {}
+    if not args.config:
+        return {}
+    values = json.loads(Path(args.config).read_text())
+    if not isinstance(values, dict):
+        raise ConfigurationError("a config file holds one JSON object")
+    return values
+
+
+def _accepts(kind, value):
+    """Whether a config field of type ``kind`` takes ``value``: an int
+    serves for a float, and only a bool for a bool."""
+    if isinstance(value, bool) or kind is bool:
+        return isinstance(value, bool) and kind is bool
+    if kind is float:
+        return isinstance(value, (int, float))
+    if kind is list:
+        return isinstance(value, list) and all(_accepts(int, k) for k in value)
+    return isinstance(value, kind)
 
 
 def _config_from(args, values, overrides=None):
-    """``values`` overlaid with the flags that are set, then ``overrides``."""
+    """``values`` overlaid with the flags that are set, then ``overrides``;
+    every key must name a config field and every value fit its type."""
     for name in _CONFIG_FIELDS:
         cli_val = getattr(args, name, None)
         if cli_val is not None:
@@ -63,6 +87,11 @@ def _config_from(args, values, overrides=None):
     unknown = set(values) - _CONFIG_FIELDS
     if unknown:
         raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
+    for name, value in values.items():
+        kind, *optional = _CONFIG_TYPES[name]
+        if not (value is None and optional or _accepts(kind, value)):
+            raise ConfigurationError(
+                f"config key {name!r} must be {_TYPE_NAMES[kind]}, got {value!r}")
     return ExperimentConfig(**values).validate()
 
 
@@ -75,9 +104,9 @@ def _parse_method_token(token):
     return overrides
 
 
-def _run_group(configs, problem=None):
+def _run_group(configs, problem):
     """The results of ``configs``, one lockstep group, in their order, on
-    ``problem`` or else on the problem their config describes."""
+    ``problem``."""
     first, *rest = configs
     if rest:
         return bench.run_experiment(first, problem, lockstep=rest)
@@ -86,19 +115,23 @@ def _run_group(configs, problem=None):
 
 def _group_results(runs, jobs):
     """Yield the results of each lockstep group in ``runs``, in order, each
-    as soon as it is ready."""
-    if jobs > 1:
-        # a problem holds a lambda and cannot be pickled: workers build their own
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            yield from pool.map(_run_group, runs)
-        return
-    problems = {}  # one per instance, shared by its groups
-    for run in runs:
+    as soon as it is ready.  Each instance is built once, in this process,
+    and shared by its groups; ``jobs`` > 1 worker processes receive it
+    pickled."""
+    problems = {}
+
+    def problem(run):
         first = run[0]
         key = (first.problem_file, first.m, first.p, first.n, first.seed)
         if key not in problems:
             problems[key] = bench._build_problem(first)
-        yield _run_group(run, problems[key])
+        return problems[key]
+
+    if jobs == 1:
+        yield from map(_run_group, runs, map(problem, runs))
+        return
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        yield from pool.map(_run_group, runs, map(problem, runs))
 
 
 def _lockstep_groups(configs):
@@ -130,9 +163,14 @@ def cmd_solve(args):
 
 
 def cmd_compare(args):
+    if args.jobs < 1:
+        raise ConfigurationError(f"--jobs must be at least 1, got {args.jobs}")
     values = _file_values(args)
     method_specs = values.pop("methods", None)
-    base = _config_from(args, values, overrides={"method": "ffb"})
+    if not (method_specs is None or isinstance(method_specs, list)
+            and all(isinstance(spec, dict) for spec in method_specs)):
+        raise ConfigurationError(f"methods must be a list of objects, got {method_specs!r}")
+    base = _config_from(args, dict(values), overrides={"method": "ffb"})
     if args.methods:
         method_specs = [_parse_method_token(t) for t in args.methods.split(",")]
     if not method_specs:
@@ -145,16 +183,13 @@ def cmd_compare(args):
     out_dir.mkdir(parents=True, exist_ok=True)
     configs = []
     for spec in method_specs:
-        unknown = set(spec) - _CONFIG_FIELDS
-        if unknown:
-            raise ConfigurationError(f"unknown method spec keys: {sorted(unknown)}")
-        # a shallow copy: the specs share the base's checkpoint list
-        config = dataclasses.replace(base, **spec)
+        # a shallow copy: the specs share the file's checkpoint list
+        config = _config_from(args, dict(values), overrides={"method": "ffb", **spec})
         tag = f"{config.method}"
         if config.method in ("pd", "pd_alt", "ffb", "ffb_xi", "fast_km") and config.alpha:
             tag += f"_a{config.alpha:g}"
         config.out = str(out_dir / f"{tag}.{base.format}")
-        configs.append(config.validate())
+        configs.append(config)
     groups = _lockstep_groups(configs)
     runs = [[configs[i] for i in group] for group in groups]
     # of two specs writing one file the later wins, so only it writes

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .ffb import FfbParams, FfbState, ffb_init, ffb_step_y
+from .ffb import FfbParams, FfbState, _check_alpha, ffb_init, ffb_step_y
 from .linalg import inner
 from .operators import InclusionProblem
 
@@ -37,8 +37,7 @@ __all__ = [
 
 
 def _check_ranges(alpha, eta, epsilon):
-    if not alpha > 2:
-        raise ConfigurationError(f"alpha must exceed 2, got {alpha}")
+    _check_alpha(alpha)
     if not 0 <= eta <= alpha - 1:
         raise ConfigurationError(f"eta={eta} outside [0, alpha-1]")
     if not 0 < epsilon < 1:
@@ -117,8 +116,7 @@ def admissible_eta_interval(alpha):
 
     Returns (lo, hi) with lo < hi, contained in (0, (5*alpha-2)/8].
     """
-    if not alpha > 2:
-        raise ConfigurationError(f"alpha must exceed 2, got {alpha}")
+    _check_alpha(alpha)
     a1 = alpha - 1.0
     base = alpha**2 / (16.0 * a1) + (2.0 * alpha - 1.0) / 4.0
     off = (alpha - 2.0) * math.sqrt((9.0 * alpha - 2.0) * (5.0 * alpha - 10.0)) / (16.0 * a1)
@@ -129,8 +127,7 @@ def admissible_eta_interval(alpha):
 
 def default_epsilon(alpha):
     """Midpoint of the admissible range (0, 3(alpha-2)/(4(alpha-1)))."""
-    if not alpha > 2:
-        raise ConfigurationError(f"alpha must exceed 2, got {alpha}")
+    _check_alpha(alpha)
     return 0.5 * 3.0 * (alpha - 2.0) / (4.0 * (alpha - 1.0))
 
 

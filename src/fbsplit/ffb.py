@@ -42,8 +42,7 @@ __all__ = [
 
 def max_step_size(alpha, beta):
     """Exclusive upper bound 8(alpha-1)*beta/(5*alpha-2) for the step size."""
-    if not alpha > 2:
-        raise ConfigurationError(f"alpha must exceed 2, got {alpha}")
+    _check_alpha(alpha)
     if not beta > 0:
         raise ConfigurationError(f"beta must be positive, got {beta}")
     return 8.0 * (alpha - 1.0) * beta / (5.0 * alpha - 2.0)
@@ -62,8 +61,7 @@ class FfbParams:
 
     def resolve(self, beta):
         """Return a copy with a concrete, validated step size for modulus ``beta``."""
-        if not self.alpha > 2:
-            raise ConfigurationError(f"alpha must exceed 2, got {self.alpha}")
+        _check_alpha(self.alpha)
         gamma = self.gamma
         if gamma is None:
             if not math.isfinite(beta):
@@ -100,6 +98,12 @@ class FfbState:
     xi: np.ndarray
     c_prev: np.ndarray
     c: np.ndarray
+
+
+def _check_alpha(alpha):
+    """Raise unless alpha > 2, the range of every extrapolation below."""
+    if not alpha > 2:
+        raise ConfigurationError(f"alpha must exceed 2, got {alpha}")
 
 
 def _extrapolation_coefficients(alpha, k):

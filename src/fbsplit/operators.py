@@ -56,14 +56,20 @@ class ResolventOperator:
 
 
 class ZeroOperator(ResolventOperator):
-    """M = 0; the resolvent is the identity for every step size."""
+    """M = 0, so f = 0; the resolvent is the identity for every step size."""
+
+    def value(self, v):
+        return 0.0
 
     def resolvent(self, gamma, v):
         return np.asarray(v, dtype=float)
 
 
 class L1Subdifferential(ResolventOperator):
-    """M = subdifferential of the l1 norm; resolvent(gamma, .) soft thresholds at gamma."""
+    """M = subdifferential of f = ||.||_1; resolvent(gamma, .) soft thresholds at gamma."""
+
+    def value(self, v):
+        return float(np.sum(np.abs(v)))
 
     def resolvent(self, gamma, v):
         return prox_l1(v, gamma)

@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError
-from .ffb import _check_finite, _extrapolate, _extrapolation_coefficients
+from .ffb import _check_alpha, _check_finite, _extrapolate, _extrapolation_coefficients
 from .linalg import LinearMap, as_vector, inner, norm, operator_norm
 from .operators import ResolventOperator, SmoothTerm
 
@@ -45,7 +45,6 @@ __all__ = [
     "pd_zeta",
     "certificate_residual",
     "certificate_subgradient",
-    "lagrangian",
     "lagrangian_gap",
     "objective_bounds",
     "FlagParams",
@@ -57,12 +56,11 @@ __all__ = [
 
 
 class PdProblem:
-    """Problem data: prox-capable f, smooth h, and the constraint Ax = b."""
+    """Problem data: f with ``f.value(x)`` and prox ``f.resolvent(tau, u)``,
+    smooth h, and the constraint Ax = b."""
 
-    def __init__(self, f_prox: ResolventOperator, f_value, h: SmoothTerm,
-                 A: LinearMap, b):
-        self.f_prox = f_prox
-        self.f_value = f_value
+    def __init__(self, f: ResolventOperator, h: SmoothTerm, A: LinearMap, b):
+        self.f = f
         self.h = h
         self.A = A
         self.b = as_vector(b, dim=A.out_dim, name="b")
@@ -90,7 +88,7 @@ class PdProblem:
         return operator_norm(self.A)
 
     def objective(self, x):
-        return float(self.f_value(x)) + float(self.h.value(x))
+        return float(self.f.value(x)) + float(self.h.value(x))
 
     def feasibility(self, x):
         return norm(self.A.apply(x) - self.b)
@@ -110,8 +108,7 @@ class PdParams:
             for row in zip(*(np.ravel(v) for v in (self.alpha, self.tau, self.sigma))):
                 PdParams(*row).validate(problem)
             return self
-        if not self.alpha > 2:
-            raise ConfigurationError(f"alpha must exceed 2, got {self.alpha}")
+        _check_alpha(self.alpha)
         if not (self.tau > 0 and self.sigma > 0):
             raise ConfigurationError("tau and sigma must be positive")
         a2 = problem.a_norm**2
@@ -139,8 +136,7 @@ def pd_default_steps(alpha, problem: PdProblem):
     The formula keeps the step-size condition strictly satisfied for every
     alpha > 2; written in a form that stays finite when beta is +inf.
     """
-    if not alpha > 2:
-        raise ConfigurationError(f"alpha must exceed 2, got {alpha}")
+    _check_alpha(alpha)
     margin = 1.0 - 0.99 * 3.0 * (alpha - 2.0) / (8.0 * (alpha - 1.0))
     beta = problem.beta
     tau = 0.99 / (problem.a_norm + (margin / beta if math.isfinite(beta) else 0.0))
@@ -193,7 +189,7 @@ def pd_init(problem: PdProblem, params: PdParams, x0=None, v0=None,
     g0 = problem.h.gradient(x0)
     u = v0 - tau * problem.A.adjoint_apply(eta0) - tau * g0
     _check_finite(None, u)
-    x1 = problem.f_prox.resolvent(tau, u)
+    x1 = problem.f.resolvent(tau, u)
     ax1 = problem.A.apply(x1)
     lam1 = eta0 + sigma * (ax1 - problem.b) + sigma * (ax1 - problem.A.apply(v0))
     w1 = (v0 - x1) / tau + problem.A.adjoint_apply(lam1 - eta0) - g0
@@ -216,7 +212,7 @@ def pd_step(state: PdState, problem: PdProblem, params: PdParams):
     g_k = state.grad
     u = v_k - tau * problem.A.adjoint_apply(eta_k) - tau * g_k
     _check_finite(state, u)
-    x_next = problem.f_prox.resolvent(tau, u)
+    x_next = problem.f.resolvent(tau, u)
     ax_next = problem.A.apply(x_next)
     lam_next = eta_k + sigma * (2.0 * ax_next - problem.b - problem.A.apply(v_k))
     w_next = (v_k - x_next) / tau + problem.A.adjoint_apply(lam_next - eta_k) - g_k
@@ -242,7 +238,7 @@ def pd_step_alternative(state: PdState, problem: PdProblem, params: PdParams):
     u = (state.x - tau * (g_k + At(state.lam)) + m_c * dx
          - tau * m_c * At(dlam) + c_c * tau * (state.w + state.grad_prev))
     _check_finite(state, u)
-    x_next = problem.f_prox.resolvent(tau, u)
+    x_next = problem.f.resolvent(tau, u)
     ax = state.ax
     ax_next = A(x_next)
     lam_next = (
@@ -285,13 +281,12 @@ def certificate_subgradient(state: PdState, problem: PdProblem):
     return state.w - problem.A.adjoint_apply(state.lam)
 
 
-def lagrangian(problem: PdProblem, x, lam):
-    return problem.objective(x) + inner(lam, problem.A.apply(x) - problem.b)
-
-
 def lagrangian_gap(x, lam, x_star, lam_star, problem: PdProblem):
-    """L(x, lam_star) - L(x_star, lam); nonnegative at a true saddle reference."""
-    return lagrangian(problem, x, lam_star) - lagrangian(problem, x_star, lam)
+    """L(x, lam_star) - L(x_star, lam) with L(x, lam) = (f+h)(x) + <lam, Ax - b>;
+    nonnegative at a true saddle reference."""
+    A, b = problem.A.apply, problem.b
+    return ((problem.objective(x) + inner(lam_star, A(x) - b))
+            - (problem.objective(x_star) + inner(lam, A(x_star) - b)))
 
 
 def objective_bounds(state: PdState, problem: PdProblem, x_star, lam_star):
@@ -314,24 +309,22 @@ def objective_bounds(state: PdState, problem: PdProblem, x_star, lam_star):
 
 @dataclass(frozen=True)
 class FlagParams:
+    """The step size; the penalty r and the dual step theta are fixed at 1."""
+
     tau: float
-    r: float = 1.0
-    theta: float = 1.0
 
     def validate(self):
-        if not (self.tau > 0 and self.r > 0):
-            raise ConfigurationError("tau and r must be positive")
-        if not 0 < self.theta <= 1:
-            raise ConfigurationError(f"theta must lie in (0, 1], got {self.theta}")
+        if not self.tau > 0:
+            raise ConfigurationError("tau must be positive")
         return self
 
 
 def flag_default_params(problem: PdProblem):
-    """tau = beta/(beta*||A||^2 + 1), r = 1, theta = 1 (theta is a free choice)."""
+    """tau = beta/(beta*||A||^2 + 1)."""
     beta = problem.beta
     a2 = problem.a_norm**2
     tau = 1.0 / (a2 + (1.0 / beta if math.isfinite(beta) else 0.0))
-    return FlagParams(tau=tau, r=1.0, theta=1.0)
+    return FlagParams(tau=tau)
 
 
 @dataclass
@@ -356,15 +349,15 @@ def flag_init(problem: PdProblem, params: FlagParams, x1=None, xbar1=None, lam1=
 
 def flag_step(state: FlagState, problem: PdProblem, params: FlagParams):
     """One iteration of the Lagrangian-based averaging scheme."""
-    k, tau, r, theta = state.k, params.tau, params.r, params.theta
+    k, tau = state.k, params.tau
     A, At = problem.A.apply, problem.A.adjoint_apply
     grad = problem.h.gradient(state.x_bar)
     u = (state.x_bar
-         - tau * (grad + At(state.lam) + r * At(A(state.x_bar) - problem.b))
-         - tau * r * k * At(A(state.x) - problem.b))
+         - tau * (grad + At(state.lam) + At(A(state.x_bar) - problem.b))
+         - tau * k * At(A(state.x) - problem.b))
     _check_finite(state, u)
-    xbar_next = problem.f_prox.resolvent(tau, u)
-    lam_next = state.lam + theta * r * (A(xbar_next) - problem.b)
+    xbar_next = problem.f.resolvent(tau, u)
+    lam_next = state.lam + (A(xbar_next) - problem.b)
     # lam_next is non-finite whenever xbar_next is; x_next averages x with it
     x_next = (1.0 - 1.0 / (k + 1.0)) * state.x + xbar_next / (k + 1.0)
     _check_finite(state, lam_next)

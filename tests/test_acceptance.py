@@ -161,11 +161,11 @@ def test_criterion_06_certificates(bench_problem):
             target = bench_problem.b - bench_problem.A.apply(state.x)
             worst_zeta = max(worst_zeta, float(np.linalg.norm(zeta - target)) / zeta_scale)
             g = certificate_subgradient(state, bench_problem)
-            fx = bench_problem.f_value(state.x)
+            fx = bench_problem.f.value(state.x)
             scale = max(1.0, float(np.linalg.norm(g)))
             for _ in range(100):
                 u = rng.standard_normal(bench_problem.n) * 2.0
-                slack = fx + float(np.dot(g, u - state.x)) - bench_problem.f_value(u)
+                slack = fx + float(np.dot(g, u - state.x)) - bench_problem.f.value(u)
                 worst_slack = max(worst_slack, slack / scale)
     ok = worst_zeta <= 1e-13 and worst_slack <= 1e-8
     report(6, ok, f"zeta deviation {worst_zeta:.2e}; "

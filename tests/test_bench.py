@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -75,6 +76,15 @@ def test_problem_save_load_roundtrip(tmp_path):
     np.testing.assert_array_equal(loaded.A.matrix, prob.A.matrix)
     np.testing.assert_array_equal(loaded.b, prob.b)
     assert problem_fingerprint(loaded) == problem_fingerprint(prob)
+
+
+def test_problem_pickles():
+    # compare --jobs sends each instance to its worker processes pickled
+    prob = generate_problem(3, 4, 6, seed=2)
+    copy = pickle.loads(pickle.dumps(prob))
+    assert problem_fingerprint(copy) == problem_fingerprint(prob)
+    x = np.random.default_rng(0).standard_normal(6)
+    assert copy.objective(x) == prob.objective(x)
 
 
 def test_default_checkpoints():
@@ -205,7 +215,7 @@ class _RowBlowsUp(L1Subdifferential):
 @pytest.mark.parametrize("method", ["pd", "pd_alt"])
 def test_lockstep_row_divergence_leaves_the_other_rows(tmp_path, method):
     prob = generate_problem(3, 4, 6, seed=2)
-    blows_up = PdProblem(_RowBlowsUp(30), prob.f_value, prob.h, prob.A, prob.b)
+    blows_up = PdProblem(_RowBlowsUp(30), prob.h, prob.A, prob.b)
     configs = [ExperimentConfig(method=method, alpha=a, m=3, p=4, n=6, seed=2, iters=60,
                                 checkpoints=list(range(1, 61)), out=str(tmp_path / f"{a}"))
                for a in (3.0, 5.0)]
@@ -262,8 +272,7 @@ def test_fit_rate_slope_excludes_nonpositive_and_needs_ten():
 def _scalar_kkt_problem():
     """min |x| subject to x = 1: x* = 1, lam* = -1, objective 1."""
     return PdProblem(
-        f_prox=L1Subdifferential(),
-        f_value=lambda x: float(np.sum(np.abs(x))),
+        f=L1Subdifferential(),
         h=ZeroSmoothTerm(1),
         A=identity(1),
         b=np.array([1.0]),

@@ -147,10 +147,12 @@ def test_reference_subcommand(tmp_path, capsys):
     prob_path = tmp_path / "prob.npz"
     prob = bench.generate_problem(1, 2, 2, seed=4)
     bench.save_problem(prob, prob_path)
-    code = cli.main([
-        "reference", "--problem-file", str(prob_path),
-        "--iters", "100000", "--out", str(tmp_path / "cache"),
-    ])
+    # 1e5 iterations leave this instance short of the 1e-8 feasibility
+    with pytest.warns(RuntimeWarning, match="did not converge"):
+        code = cli.main([
+            "reference", "--problem-file", str(prob_path),
+            "--iters", "100000", "--out", str(tmp_path / "cache"),
+        ])
     assert code == 0
     assert "reference objective" in capsys.readouterr().out
     assert list((tmp_path / "cache").glob("reference_*.npz"))
@@ -285,6 +287,21 @@ def test_compare_builds_each_problem_once(monkeypatch, tmp_path):
         assert (group / name).read_bytes() == (solo / name).read_bytes(), name
 
 
+def test_compare_builds_each_problem_once_also_with_jobs(monkeypatch, tmp_path):
+    # the calling process builds the instance; the workers get it pickled
+    calls = []
+    generate = bench.generate_problem
+
+    def spy(*args):
+        calls.append(args)
+        return generate(*args)
+
+    monkeypatch.setattr(bench, "generate_problem", spy)
+    assert cli.main(["compare", "--methods", "pd:5,pd:10,flag", *_SWEEP,
+                     "--jobs", "2", "--out", str(tmp_path)]) == 0
+    assert calls == [(5, 8, 12, 1)]
+
+
 def test_compare_writes_each_group_before_the_next_runs(monkeypatch, tmp_path):
     events = []
     run, emit = bench.run_experiment, bench.emit
@@ -319,3 +336,27 @@ def test_compare_later_spec_writing_a_file_wins_across_groups(tmp_path, capsys):
     assert bench.read_records_csv(out / "pd_a10.csv")[-1].k == 40
     rows = [line.split()[:2] for line in capsys.readouterr().out.splitlines()[1:]]
     assert rows == [["pd_a5", "40"], ["pd_a10", "20"], ["pd_a10", "40"]]
+
+
+@pytest.mark.parametrize("command,values", [
+    ("compare", {"checkpoints": 5}),
+    ("compare", {"methods": "pd"}),
+    ("solve", {"iters": "100"}),
+    ("solve", {"m": "3"}),
+    ("solve", {"alpha": "5"}),
+])
+def test_config_value_of_wrong_type_is_config_error(tmp_path, capsys, command, values):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"m": 3, "p": 4, "n": 6, "iters": 5, **values}))
+    code = cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    assert "configuration error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_compare_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    code = cli.main(["compare", "--methods", "pd:5", "--m", "3", "--p", "4", "--n", "6",
+                     "--iters", "5", "--jobs", jobs, "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    assert "configuration error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

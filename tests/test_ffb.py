@@ -221,7 +221,7 @@ def test_divergence_carries_last_state():
     prob = InclusionProblem(ZeroOperator(), _LyingMap())
     params = FfbParams(alpha=3.0, gamma=1.0).resolve(prob.beta)
     state = ffb_init(prob, params, z0=np.array([1.0]))
-    with pytest.raises(DivergenceError) as exc_info:
+    with pytest.raises(DivergenceError) as exc_info, np.errstate(over="ignore"):
         for _ in range(5000):
             state = ffb_step_y(state, prob, params)
     last = exc_info.value.state
@@ -234,6 +234,6 @@ def test_first_step_divergence_carries_no_state():
     # l1 resolvent would reject it as bad input if it were applied
     prob = InclusionProblem(L1Subdifferential(), _LyingMap())
     params = FfbParams(alpha=3.0, gamma=1.0)
-    with pytest.raises(DivergenceError) as exc_info:
+    with pytest.raises(DivergenceError) as exc_info, np.errstate(over="ignore"):
         ffb_init(prob, params, z0=np.array([1e308]))
     assert exc_info.value.state is None

@@ -32,8 +32,7 @@ from fbsplit.primal_dual import (
 def scalar_l1_problem():
     """min |x| subject to x = 1; saddle point (1, -1), optimal value 1."""
     return PdProblem(
-        f_prox=L1Subdifferential(),
-        f_value=lambda x: float(np.sum(np.abs(x))),
+        f=L1Subdifferential(),
         h=ZeroSmoothTerm(1),
         A=identity(1),
         b=np.array([1.0]),
@@ -44,8 +43,7 @@ def random_problem(seed, m=4, p=6, n=9):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((m, n))
     return PdProblem(
-        f_prox=L1Subdifferential(),
-        f_value=lambda x: float(np.sum(np.abs(x))),
+        f=L1Subdifferential(),
         h=quadratic_term(LinearMap(rng.standard_normal((p, n))), rng.standard_normal(p)),
         A=LinearMap(a),
         b=a @ (rng.standard_normal(n) / math.sqrt(n)),
@@ -56,8 +54,7 @@ def test_pd_default_steps_formula():
     rng = np.random.default_rng(1)
     # unit-norm constraint map, beta = 1
     prob = PdProblem(
-        f_prox=L1Subdifferential(),
-        f_value=lambda x: float(np.sum(np.abs(x))),
+        f=L1Subdifferential(),
         h=quadratic_term(identity(2), np.zeros(2)),
         A=identity(2),
         b=np.zeros(2),
@@ -98,8 +95,7 @@ def test_pd_params_validation_messages():
 
 def test_pd_init_zero_problem():
     prob = PdProblem(
-        f_prox=ZeroOperator(),
-        f_value=lambda x: 0.0,
+        f=ZeroOperator(),
         h=ZeroSmoothTerm(2),
         A=identity(2),
         b=np.zeros(2),
@@ -184,17 +180,16 @@ def test_certificate_subgradient_inequality_sampled():
     for _ in range(100):
         state = pd_step(state, prob, params)
     g = certificate_subgradient(state, prob)
-    fx = prob.f_value(state.x)
+    fx = prob.f.value(state.x)
     for _ in range(100):
         u = rng.standard_normal(prob.n) * 2.0
-        assert prob.f_value(u) >= fx + float(np.dot(g, u - state.x)) - 1e-8
+        assert prob.f.value(u) >= fx + float(np.dot(g, u - state.x)) - 1e-8
 
 
 def test_flag_default_params():
     prob = scalar_l1_problem()
     params = flag_default_params(prob)
     assert params.tau == pytest.approx(1.0)  # beta -> inf limit of beta/(beta ||A||^2 + 1)
-    assert params.r == 1.0 and params.theta == 1.0
     prob2 = random_problem(17)
     p2 = flag_default_params(prob2)
     assert p2.tau == pytest.approx(prob2.beta / (prob2.beta * prob2.a_norm**2 + 1.0))
@@ -203,15 +198,11 @@ def test_flag_default_params():
 def test_flag_params_validation():
     with pytest.raises(ConfigurationError):
         FlagParams(tau=0.0).validate()
-    with pytest.raises(ConfigurationError):
-        FlagParams(tau=1.0, theta=0.0).validate()
-    with pytest.raises(ConfigurationError):
-        FlagParams(tau=1.0, r=-1.0).validate()
 
 
 def test_flag_scalar_hand_trace():
     prob = scalar_l1_problem()
-    params = FlagParams(tau=1.0, r=1.0, theta=1.0)
+    params = FlagParams(tau=1.0)
     state = flag_step(flag_init(prob, params), prob, params)
     assert state.x_bar[0] == pytest.approx(1.0)
     assert state.lam[0] == pytest.approx(0.0)
@@ -235,8 +226,7 @@ def test_lagrangian_gap_values():
     assert lagrangian_gap(x_star, lam_star, x_star, lam_star, prob) == pytest.approx(0.0)
     # hand algebra on f=0, h=0.5||x||^2, A=Id, b=0 with arbitrary references
     prob2 = PdProblem(
-        f_prox=ZeroOperator(),
-        f_value=lambda x: 0.0,
+        f=ZeroOperator(),
         h=quadratic_term(identity(2), np.zeros(2)),
         A=identity(2),
         b=np.zeros(2),
@@ -274,6 +264,6 @@ def test_pd_first_step_divergence_carries_no_state():
     # any finite state exists
     prob = scalar_l1_problem()
     params = pd_default_steps(3.0, prob)
-    with pytest.raises(DivergenceError) as exc_info:
+    with pytest.raises(DivergenceError) as exc_info, np.errstate(over="ignore"):
         pd_init(prob, params, v0=np.array([1e308]), eta0=np.array([-1e308]))
     assert exc_info.value.state is None
