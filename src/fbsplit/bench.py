@@ -156,9 +156,6 @@ class ExperimentConfig:
             raise ConfigurationError("iteration budget must be >= 1")
         if self.format not in ("csv", "json"):
             raise ConfigurationError(f"format must be csv or json, got {self.format!r}")
-        if self.problem_file is None:
-            if min(self.m, self.p, self.n) < 1:
-                raise ConfigurationError("problem dimensions must be positive")
         return self
 
 
@@ -223,9 +220,17 @@ def save_problem(problem: PdProblem, path):
     )
 
 
-def load_problem(path):
+def _load_arrays(path, *names):
+    """The arrays ``names`` of the ``.npz`` file at ``path``."""
     data = np.load(path)
-    return _l1_least_squares(data["A"], data["b"], data["B"], data["c"])
+    missing = [name for name in names if name not in data]
+    if missing:
+        raise ValueError(f"{path} lacks the arrays {', '.join(missing)}")
+    return [data[name] for name in names]
+
+
+def load_problem(path):
+    return _l1_least_squares(*_load_arrays(path, "A", "b", "B", "c"))
 
 
 def problem_fingerprint(problem: PdProblem):
@@ -272,9 +277,10 @@ def _build_problem(config: ExperimentConfig):
 
 
 def _load_reference(path):
-    data = np.load(path)
-    return _Reference(data["x_star"], data["lam_star"], float(data["objective"]),
-                      float(data["feasibility"]), bool(data["converged"]))
+    x_star, lam_star, objective, feasibility, converged = _load_arrays(
+        path, "x_star", "lam_star", "objective", "feasibility", "converged")
+    return _Reference(x_star, lam_star, float(objective), float(feasibility),
+                      bool(converged))
 
 
 def _params_from(defaults, config, *fields):

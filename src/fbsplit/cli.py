@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 configuration error, 3 divergence.
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import sys
 import typing
@@ -23,9 +24,10 @@ EXIT_DIVERGED = 3
 # each field's type, followed by NoneType if the field is optional
 _CONFIG_TYPES = {name: typing.get_args(kind) or (kind,)
                  for name, kind in typing.get_type_hints(ExperimentConfig).items()}
-_CONFIG_FIELDS = set(_CONFIG_TYPES)
 _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string",
                bool: "true or false", list: "a list of integers"}
+# the fields a compare method spec may set; the rest are the command's
+_SPEC_FIELDS = ("method", "alpha", "gamma", "tau", "sigma")
 
 
 def _add_common(parser):
@@ -78,13 +80,13 @@ def _accepts(kind, value):
 def _config_from(args, values, overrides=None):
     """``values`` overlaid with the flags that are set, then ``overrides``;
     every key must name a config field and every value fit its type."""
-    for name in _CONFIG_FIELDS:
+    for name in _CONFIG_TYPES:
         cli_val = getattr(args, name, None)
         if cli_val is not None:
             values[name] = cli_val
     if overrides:
         values.update(overrides)
-    unknown = set(values) - _CONFIG_FIELDS
+    unknown = set(values) - set(_CONFIG_TYPES)
     if unknown:
         raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
     for name, value in values.items():
@@ -96,12 +98,9 @@ def _config_from(args, values, overrides=None):
 
 
 def _parse_method_token(token):
-    """'pd:10' -> ('pd', {'alpha': 10.0}); bare names pass through."""
+    """'pd:10' -> {'method': 'pd', 'alpha': 10.0}; 'flag' -> {'method': 'flag'}."""
     name, _, arg = token.partition(":")
-    overrides = {"method": name}
-    if arg:
-        overrides["alpha"] = float(arg)
-    return overrides
+    return {"method": name, "alpha": float(arg)} if arg else {"method": name}
 
 
 def _run_group(configs, problem):
@@ -113,34 +112,24 @@ def _run_group(configs, problem):
     return [bench.run_experiment(first, problem)]
 
 
-def _group_results(runs, jobs):
+def _group_results(runs, problem, jobs):
     """Yield the results of each lockstep group in ``runs``, in order, each
-    as soon as it is ready.  Each instance is built once, in this process,
-    and shared by its groups; ``jobs`` > 1 worker processes receive it
-    pickled."""
-    problems = {}
-
-    def problem(run):
-        first = run[0]
-        key = (first.problem_file, first.m, first.p, first.n, first.seed)
-        if key not in problems:
-            problems[key] = bench._build_problem(first)
-        return problems[key]
-
+    as soon as it is ready; ``jobs`` > 1 worker processes receive
+    ``problem`` pickled."""
     if jobs == 1:
-        yield from map(_run_group, runs, map(problem, runs))
+        yield from map(_run_group, runs, itertools.repeat(problem))
         return
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        yield from pool.map(_run_group, runs, map(problem, runs))
+        yield from pool.map(_run_group, runs, itertools.repeat(problem))
 
 
 def _lockstep_groups(configs):
-    """The indices of ``configs`` by lockstep group, in order of first
-    appearance; a config no other can join forms a group of its own."""
+    """``configs`` by lockstep group, in order of first appearance; a
+    config no other can join forms a group of its own."""
     groups = {}
     for i, config in enumerate(configs):
         key = bench._lockstep_key(config)
-        groups.setdefault(i if key is None else key, []).append(i)
+        groups.setdefault(i if key is None else key, []).append(config)
     return list(groups.values())
 
 
@@ -170,42 +159,43 @@ def cmd_compare(args):
     if not (method_specs is None or isinstance(method_specs, list)
             and all(isinstance(spec, dict) for spec in method_specs)):
         raise ConfigurationError(f"methods must be a list of objects, got {method_specs!r}")
-    base = _config_from(args, dict(values), overrides={"method": "ffb"})
-    if args.methods:
-        method_specs = [_parse_method_token(t) for t in args.methods.split(",")]
-    if not method_specs:
-        method_specs = [
-            {"method": "pd", "alpha": 5.0},
-            {"method": "pd", "alpha": 10.0},
-            {"method": "flag"},
-        ]
+    if "method" in values:
+        raise ConfigurationError("compare takes no 'method'; list its runs in 'methods'")
+    if args.methods or not method_specs:
+        method_specs = [_parse_method_token(t)
+                        for t in (args.methods or "pd:5,pd:10,flag").split(",")]
+    base = _config_from(args, values)
     out_dir = Path(base.out) if base.out else Path("compare_out")
-    out_dir.mkdir(parents=True, exist_ok=True)
     configs = []
     for spec in method_specs:
+        unknown = set(spec) - set(_SPEC_FIELDS)
+        if unknown:
+            raise ConfigurationError(f"a method spec sets only {', '.join(_SPEC_FIELDS)}; "
+                                     f"got {sorted(unknown)}")
         # a shallow copy: the specs share the file's checkpoint list
-        config = _config_from(args, dict(values), overrides={"method": "ffb", **spec})
+        config = _config_from(args, dict(values), overrides=spec)
         tag = f"{config.method}"
         if config.method in ("pd", "pd_alt", "ffb", "ffb_xi", "fast_km") and config.alpha:
             tag += f"_a{config.alpha:g}"
-        config.out = str(out_dir / f"{tag}.{base.format}")
+        config.out = str(out_dir / f"{tag}.{config.format}")
+        if any(config.out == other.out for other in configs):
+            raise ConfigurationError(f"two method specs would write {config.out}")
         configs.append(config)
-    groups = _lockstep_groups(configs)
-    runs = [[configs[i] for i in group] for group in groups]
-    # of two specs writing one file the later wins, so only it writes
-    writer = {config.out: i for i, config in enumerate(configs)}
-    results = [None] * len(configs)
-    for group, group_result in zip(groups, _group_results(runs, args.jobs)):
-        for i, result in zip(group, group_result):
-            if writer[configs[i].out] == i:
-                bench.emit(result.records, configs[i].format, configs[i].out)
+    problem = bench._build_problem(base)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    runs = _lockstep_groups(configs)
+    # by output file, in spec order; no two specs share a file
+    results = dict.fromkeys(config.out for config in configs)
+    for run, group_result in zip(runs, _group_results(runs, problem, args.jobs)):
+        for config, result in zip(run, group_result):
+            bench.emit(result.records, config.format, config.out)
             # the table needs only the last record
-            results[i] = dataclasses.replace(result, records=result.records[-1:])
+            results[config.out] = dataclasses.replace(result, records=result.records[-1:])
         del group_result, result  # free the records before the next group runs
     diverged = False
     print(f"{'method':<12} {'k':>8} {'velocity':>13} {'objective':>16} {'feasibility':>13}")
-    for config, result in zip(configs, results):
-        name = Path(config.out).stem
+    for out, result in results.items():
+        name = Path(out).stem
         if result.diverged:
             diverged = True
             print(f"{name} diverged at k={result.diverged_at}: {result.reason}",
@@ -219,11 +209,15 @@ def cmd_compare(args):
 
 
 def cmd_rates(args):
-    paths = args.files
+    quantities = args.quantities.split(",")
+    unknown = [q for q in quantities if q not in bench._QUANTITIES]
+    if unknown:
+        raise ConfigurationError(f"unknown quantities {unknown}; choose from "
+                                 f"{', '.join(bench._QUANTITIES)}")
     print(f"{'file':<32} {'quantity':<13} {'slope':>9} {'r2':>7} {'points':>7}")
-    for path in paths:
+    for path in args.files:
         records = bench.read_records_csv(path)
-        for quantity in args.quantities.split(","):
+        for quantity in quantities:
             try:
                 fit = bench.fit_rate_slope(records, quantity, k_min=args.kmin)
             except ValueError as exc:

@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fbsplit import bench, cli
@@ -322,20 +323,72 @@ def test_compare_writes_each_group_before_the_next_runs(monkeypatch, tmp_path):
                       ("run", "flag"), ("emit", "flag")]
 
 
-def test_compare_later_spec_writing_a_file_wins_across_groups(tmp_path, capsys):
-    # specs 0 and 2 run first as one group; spec 1, a group of its own, runs
-    # after them, yet spec 2 is the later writer of pd_a10.csv
+def _compare_with_config(tmp_path, values, *extra):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"methods": [
-        {"method": "pd", "alpha": 5, "iters": 40},
-        {"method": "pd", "alpha": 10, "iters": 20},
-        {"method": "pd", "alpha": 10, "iters": 40}]}))
-    out = tmp_path / "out"
-    assert cli.main(["compare", "--config", str(cfg), "--m", "3", "--p", "4",
-                     "--n", "6", "--out", str(out)]) == 0
-    assert bench.read_records_csv(out / "pd_a10.csv")[-1].k == 40
-    rows = [line.split()[:2] for line in capsys.readouterr().out.splitlines()[1:]]
-    assert rows == [["pd_a5", "40"], ["pd_a10", "20"], ["pd_a10", "40"]]
+    cfg.write_text(json.dumps(values))
+    return cli.main(["compare", "--config", str(cfg), "--m", "3", "--p", "4", "--n", "6",
+                     "--iters", "5", *extra, "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("key,value", [
+    ("iters", 20), ("seed", 3), ("format", "json"), ("out", "elsewhere"),
+    ("checkpoints", [1, 2]),
+], ids=["iters", "seed", "format", "out", "checkpoints"])
+def test_compare_method_spec_sets_only_method_and_steps(tmp_path, capsys, key, value):
+    code = _compare_with_config(tmp_path, {"methods": [{"method": "pd", key: value}]})
+    assert code == cli.EXIT_CONFIG
+    assert (f"configuration error: a method spec sets only method, alpha, gamma, tau, "
+            f"sigma; got [{key!r}]") in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_compare_refuses_a_config_file_method(tmp_path, capsys):
+    # each spec sets its run's method, so the file may not
+    code = _compare_with_config(tmp_path, {"method": "pd", "methods": [{"alpha": 3}]})
+    assert code == cli.EXIT_CONFIG
+    assert "configuration error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("values,extra", [
+    ({}, ["--methods", "pd:5,pd:5"]),
+    ({"methods": [{"method": "pd", "tau": 0.01}, {"method": "pd", "tau": 0.02}]}, []),
+], ids=["tokens", "taus"])
+def test_compare_refuses_two_specs_writing_one_file(tmp_path, capsys, values, extra):
+    code = _compare_with_config(tmp_path, values, *extra)
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "configuration error:" in err and "pd_a5.csv" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_rates_refuses_a_quantity_that_is_not_a_column(tmp_path, capsys):
+    out = tmp_path / "run.csv"
+    assert cli.main(["solve", "--method", "pd", "--m", "3", "--p", "4", "--n", "6",
+                     "--iters", "20", "--out", str(out)]) == 0
+    capsys.readouterr()
+    code = cli.main(["rates", str(out), "--quantities", "velocity,bogus"])
+    assert code == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error:")
+    assert "velocity, rtan, rfix, objective, feasibility, gap" in captured.err
+
+
+@pytest.mark.parametrize("flag,given,missing", [
+    ("--problem-file", "reference", "A, b, B, c"),
+    ("--reference", "problem", "x_star, lam_star, objective, feasibility, converged"),
+], ids=["problem-file", "reference"])
+def test_npz_without_the_expected_arrays_is_an_error(tmp_path, capsys, flag, given, missing):
+    # a reference cache file where a problem file belongs, and the other way round
+    files = {"problem": tmp_path / "problem.npz", "reference": tmp_path / "reference.npz"}
+    bench.save_problem(bench.generate_problem(3, 4, 6, seed=1), files["problem"])
+    np.savez(files["reference"], x_star=np.zeros(6), lam_star=np.zeros(3), objective=1.0,
+             feasibility=0.0, converged=True)
+    code = cli.main(["solve", "--method", "pd", "--m", "3", "--p", "4", "--n", "6",
+                     "--iters", "5", flag, str(files[given])])
+    assert code == cli.EXIT_CONFIG
+    assert f"{files[given]} lacks the arrays {missing}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command,values", [
