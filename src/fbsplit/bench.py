@@ -22,6 +22,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import operator
 import time
 import warnings
 from dataclasses import dataclass
@@ -104,6 +105,8 @@ _LOCKSTEP_METHODS = ("pd", "pd_alt")
 _ROW_FIELDS = ("alpha", "tau", "sigma", "out")
 _FFB_METHODS = ("ffb", "ffb_xi")
 METHODS = _FFB_METHODS + tuple(VARIANTS) + _PD_METHODS
+_BLOCK_FLOATS = 2**16  # of checkpoint states, measured together
+_EMIT_ROWS = 512  # records that emit formats and writes together
 
 
 @dataclass
@@ -152,6 +155,8 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"unknown method {self.method!r}; choose from {', '.join(METHODS)}"
             )
+        if self.gamma is not None and self.method in _PD_METHODS:
+            raise ConfigurationError(f"{self.method} takes no gamma; its steps are tau and sigma")
         if self.iters < 1:
             raise ConfigurationError("iteration budget must be >= 1")
         if self.format not in ("csv", "json"):
@@ -258,16 +263,16 @@ def default_checkpoints(iters):
     return [int(k) for k in ks]
 
 
+@dataclass
 class _Reference:
     """Saddle-point reference used for the gap column, with the final
     feasibility of the run that produced it and whether that converged."""
 
-    def __init__(self, x_star, lam_star, objective, feasibility, converged):
-        self.x_star = x_star
-        self.lam_star = lam_star
-        self.objective = objective
-        self.feasibility = feasibility
-        self.converged = converged
+    x_star: np.ndarray
+    lam_star: np.ndarray
+    objective: float
+    feasibility: float
+    converged: bool
 
 
 def _build_problem(config: ExperimentConfig):
@@ -298,6 +303,38 @@ def _lockstep_key(config):
     if config.method not in _LOCKSTEP_METHODS:
         return None
     return repr(dataclasses.replace(config, **dict.fromkeys(_ROW_FIELDS)))
+
+
+class _Stacked:
+    """The checkpoint ``states`` of a run as one state, a row (or a block of
+    rows) per state; each field is stacked when it is first read."""
+
+    def __init__(self, states):
+        self.states = states
+
+    def __getattr__(self, name):
+        arrays = [getattr(s, name) for s in self.states]
+        value = np.concatenate(arrays).reshape(len(arrays), *arrays[0].shape)
+        setattr(self, name, value)
+        return value
+
+
+def _records(states, dual_velocity=None, **columns):
+    """Each run's records at the checkpoint ``states`` from its metric
+    ``columns`` (a value per state and lockstep row, or one for all), up to
+    its first checkpoint whose norms overflowed on a huge but finite state,
+    a divergence (NaN stays: it flags quantities a method does not define)."""
+    # a (runs, states) table per column, or one value that every record shares
+    table = [np.reshape(c, (len(states), -1)).T if np.ndim(c) else c
+             for c in [columns[q] for q in _QUANTITIES] + [0, dual_velocity]]  # ns is 0
+    velocity, _, rfix, objective, feasibility = table[:5]
+    overflow = np.isinf(velocity) | np.isinf(rfix) | np.isinf(objective) | np.isinf(feasibility)
+    runs = []
+    for row, bad in enumerate(overflow):
+        end = int(bad.argmax()) if bad.any() else len(states)
+        values = [c[row, :end].tolist() if np.ndim(c) else [c] * end for c in table]
+        runs.append(list(map(IterationRecord, [s.k for s in states[:end]], *values)))
+    return runs
 
 
 def _rows(obj, index):
@@ -331,28 +368,23 @@ class _InclusionDriver:
             self.init = lambda: baseline_init(method, problem)
             self.step = lambda state: baseline_step(method, state, problem)
 
-    def measure(self, state, reference):
-        z, method = state.z, self.method_name
-        rtan = tangent_residual(state) if method in _FFB_METHODS else math.nan
+    def measure(self, states, reference):
+        """The records of the checkpoint ``states``, from one stacked
+        product per operator for all of them."""
+        s, method, pd = _Stacked(states), self.method_name, self.pd
+        z = s.z
         # rfix = ||z_k - FB(z_k)|| from the images of z_k that the state carries
         if method in FB_CARRIED:
-            rfix = norm(z - state.fb)
+            rfix = norm(z - s.fb)
         elif method in _FFB_METHODS or method in C_CARRIED:
-            rfix = norm(z - _forward_backward(self.problem, self.gamma, z, state.c))
+            rfix = norm(z - _forward_backward(self.problem, self.gamma, z, s.c))
         else:
             rfix = fixed_point_residual(z, self.problem, self.gamma)
-        objective = float(self.pd.h.value(z)) if self.pd else math.nan
-        feasibility = self.pd.feasibility(z) if self.pd else math.nan
-        return IterationRecord(
-            k=state.k,
-            velocity=norm(z - state.z_prev),
-            rtan=rtan,
-            rfix=rfix,
-            objective=objective,
-            feasibility=feasibility,
-            gap=math.nan,
-            ns=0,
-        )
+        return _records(
+            states, velocity=norm(z - s.z_prev),
+            rtan=tangent_residual(s) if method in _FFB_METHODS else math.nan, rfix=rfix,
+            objective=pd.h.value(z) if pd else math.nan,
+            feasibility=pd.feasibility(z) if pd else math.nan, gap=math.nan)
 
 
 class _PdDriver:
@@ -396,33 +428,20 @@ class _PdDriver:
         self.params = _rows(self.params, rows)
         return None if state is None else _rows(state, rows)
 
-    def measure(self, state, reference, row=None):
-        """The record of ``state``, or of its run ``row`` when ``state`` is
-        a lockstep block."""
-        if row is not None:
-            state = _rows(state, row)
-        gap = math.nan
-        if reference is not None:
-            gap = lagrangian_gap(
-                state.x, state.lam, reference.x_star, reference.lam_star, self.problem
-            )
+    def measure(self, states, reference):
+        """The records of the checkpoint ``states``, a list per run of a
+        lockstep block, from one stacked product per operator."""
+        s, problem, ref = _Stacked(states), self.problem, reference
+        gap = math.nan if ref is None else lagrangian_gap(s.x, s.lam, ref.x_star,
+                                                          ref.lam_star, problem)
         if self.method_name == "flag":
-            rtan = math.nan
-            feasibility = self.problem.feasibility(state.x)
+            rtan, feasibility = math.nan, problem.feasibility(s.x)
         else:  # from the images of x_k that the state carries
-            rtan = certificate_residual(state, self.problem)
-            feasibility = norm(state.ax - self.problem.b)
-        return IterationRecord(
-            k=state.k,
-            velocity=norm(state.x - state.x_prev),
-            rtan=rtan,
-            rfix=math.nan,
-            objective=self.problem.objective(state.x),
-            feasibility=feasibility,
-            gap=gap,
-            ns=0,
-            dual_velocity=norm(state.lam - state.lam_prev),
-        )
+            rtan, feasibility = certificate_residual(s, problem), norm(s.ax - problem.b)
+        return _records(
+            states, velocity=norm(s.x - s.x_prev), rtan=rtan, rfix=math.nan,
+            objective=problem.objective(s.x), feasibility=feasibility, gap=gap,
+            dual_velocity=norm(s.lam - s.lam_prev))
 
 
 def run_experiment(config: ExperimentConfig, problem=None, reference=None,
@@ -440,6 +459,9 @@ def run_experiment(config: ExperimentConfig, problem=None, reference=None,
     results, ``config``'s first, is returned.  Each result equals its solo
     run's bit for bit, also when another row diverges; ``ns`` under
     ``timing`` counts from the start of the group.
+
+    Checkpoint states are measured in blocks, bit for bit as one at a time,
+    by ``flush``; ``ns`` is stamped when a checkpoint is reached.
     """
     configs = [config, *(lockstep or ())]
     for c in configs:
@@ -459,40 +481,38 @@ def run_experiment(config: ExperimentConfig, problem=None, reference=None,
         driver = _PdDriver(configs, problem)
     else:
         driver = _InclusionDriver(config, problem)
-    block = len(configs) > 1
     checkpoints = set(
         config.checkpoints if config.checkpoints is not None
         else default_checkpoints(config.iters)
     )
     results = [RunResult(records=[]) for _ in configs]
     live = list(range(len(configs)))  # the config of each row of the state
+    pending, stamps = [], []  # the checkpoint states not yet measured, and their ns
     t0 = time.perf_counter_ns() if config.timing else 0
 
-    def retire(state, rows, k, reason):
-        """``state`` without ``rows``, whose runs diverged at ``k``."""
-        for row in rows:
-            result = results[live[row]]
-            result.diverged, result.diverged_at, result.reason = True, k, reason
-        keep = [row for row in range(len(live)) if row not in rows]
+    def retire(state, ids, k, reason):
+        """``state`` without the rows of the runs ``ids`` (if still in it), diverged at ``k``."""
+        for i in set(live).intersection(ids):
+            results[i].diverged, results[i].diverged_at, results[i].reason = True, k, reason
+        keep = [row for row, i in enumerate(live) if i not in ids]
         live[:] = [live[row] for row in keep]
         return driver.keep(state, keep) if live else None
 
-    def record(state):
-        """Append each row's record; return the rows whose metrics overflowed."""
-        overflowed = []
-        for row, i in enumerate(live):
-            rec = (driver.measure(state, reference, row) if block
-                   else driver.measure(state, reference))
-            # norms can overflow to inf on huge but still finite states; such
-            # a row marks divergence rather than data (NaN stays: it flags
-            # quantities a method does not define)
-            if any(map(math.isinf, (rec.velocity, rec.rfix, rec.objective, rec.feasibility))):
-                overflowed.append(row)
-                continue
-            if config.timing:
-                rec.ns = time.perf_counter_ns() - t0
-            results[i].records.append(rec)
-        return overflowed
+    def flush(state):
+        """Record the pending checkpoints, due once they hold about
+        ``_BLOCK_FLOATS`` floats, before a run leaves and at the end; return
+        ``state`` without the rows whose metrics overflowed."""
+        if not pending:
+            return state
+        for i, records in zip(list(live), driver.measure(pending, reference)):
+            for rec, ns in zip(records, stamps):
+                rec.ns = ns
+            results[i].records += records
+            if len(records) < len(pending):
+                state = retire(state, [i], pending[len(records)].k, "non-finite metrics")
+        pending.clear()
+        stamps.clear()
+        return state
 
     state = None
     # overflow on the way to divergence is reported as divergence, so numpy's
@@ -504,12 +524,19 @@ def run_experiment(config: ExperimentConfig, problem=None, reference=None,
             except DivergenceError as exc:
                 # the rows left are stepped again from the last finite state
                 rows = range(len(live)) if exc.rows is None else exc.rows
-                state = retire(state, rows, exc.k, exc.reason)
+                ids = [live[row] for row in rows]
+                state = retire(flush(state), ids, exc.k, exc.reason)
                 continue
             if state.k in checkpoints:
-                overflowed = record(state)
-                if overflowed:
-                    state = retire(state, overflowed, state.k, "non-finite metrics")
+                pending.append(state)
+                if config.timing:
+                    stamps.append(time.perf_counter_ns() - t0)
+                if len(pending) == 1:  # a block of states holds about _BLOCK_FLOATS
+                    width = _BLOCK_FLOATS // sum(
+                        a.size for a in vars(state).values() if isinstance(a, np.ndarray))
+                if len(pending) >= width:
+                    state = flush(state)
+        flush(state)
     return results if lockstep is not None else results[0]
 
 
@@ -600,10 +627,10 @@ def emit(records, fmt, out):
     """Write records to ``out`` plus one two-column plot file per quantity.
 
     CSV uses the fixed header and full-precision floats so parsing returns
-    the records exactly.  Each value is formatted once, and each CSV row and
-    plot-file line is written as its record is read; every file is written
-    under a temporary name and renamed into place once all are complete.
-    Returns the list of written paths.
+    the records exactly.  Rows are streamed in chunks of ``_EMIT_ROWS``:
+    each value of a chunk is formatted once, and each file gets one write
+    per chunk.  Every file is written under a temporary name and renamed
+    into place once all are complete.  Returns the list of written paths.
     """
     out = Path(out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -622,15 +649,18 @@ def emit(records, fmt, out):
             main.write(json.dumps(payload, indent=1) + "\n")
         else:
             main.write(CSV_HEADER + "\n")
-        for r in records:
-            k = str(r.k)
-            values = [getattr(r, q) for q in quantities]
-            texts = ["nan" if v is None else repr(float(v)) for v in values]
+        fields = operator.attrgetter("k", "ns", *quantities)
+        for start in range(0, len(records), _EMIT_ROWS):
+            ks, ns, *values = zip(*map(fields, records[start:start + _EMIT_ROWS]))
+            ks = list(map(str, ks))
+            texts = [["nan" if v is None else repr(float(v)) for v in column]
+                     for column in values]
             if fmt == "csv":
-                main.write(f"{k},{','.join(texts[:columns])},{r.ns}\n")
-            for plot, v, text in zip(plots, values, texts):
-                if v is not None:
-                    plot.write(f"{k} {text}\n")
+                rows = zip(ks, *texts[:columns], map(str, ns))
+                main.write("\n".join(map(",".join, rows)) + "\n")
+            for plot, column, text in zip(plots, values, texts):
+                plot.write("".join([f"{k} {t}\n" for k, v, t in zip(ks, column, text)
+                                    if v is not None]))
     for temp, path in zip(temps, paths):
         temp.replace(path)
     return paths

@@ -2,8 +2,8 @@
 Golub-Kahan bidiagonalization.
 
 Vectors are plain 1-D float64 numpy arrays; ``as_vector`` is the validation
-boundary that keeps NaN/Inf out of solver state.  Lockstep runs stack their
-vectors as the rows of a ``(K, dim)`` block.
+boundary that keeps NaN/Inf out of solver state.  Lockstep runs and
+checkpoint states measured together stack their vectors as rows of a block.
 """
 
 import math
@@ -29,21 +29,27 @@ def as_vector(x, dim=None, name="vector"):
 
 
 def inner(u, v):
-    """Euclidean inner product; raises on dimension mismatch."""
+    """Euclidean inner product; raises on dimension mismatch.  A block of
+    rows takes it row by row, bit for bit as 1-D (a stacked ``matmul``)."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    if u.shape != v.shape:
+    if u.shape[-1:] != v.shape[-1:]:
         raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    return float(np.dot(u, v))
+    if u.ndim == v.ndim == 1:
+        return float(np.dot(u, v))
+    return np.matmul(u[..., None, :], v[..., :, None])[..., 0, 0]
 
 
 def norm(v):
-    """Euclidean norm of a 1-D float64 array as a float.
+    """Euclidean norm of a 1-D float64 array as a float, or of each row of
+    a block as an array.
 
     This is the formula ``np.linalg.norm`` applies to such an array, so the
     result is the same bit for bit, without that function's argument handling.
     """
-    return math.sqrt(v.dot(v))
+    if v.ndim == 1:
+        return math.sqrt(v.dot(v))
+    return np.sqrt(inner(v, v))
 
 
 class LinearMap:

@@ -6,14 +6,15 @@ A cocoercive map exposes ``apply(v)`` together with its modulus ``beta``:
 <C(z)-C(y), z-y>  >=  beta * ||C(z)-C(y)||^2.
 
 These properties are not enforced at runtime; the test suite checks them on
-sampled pairs for every concrete class below.
+sampled pairs for every concrete class below.  ``value`` and the projection
+also take a block of rows, and give each row its 1-D result bit for bit.
 """
 
 import math
 
 import numpy as np
 
-from .linalg import LinearMap, as_vector, operator_norm
+from .linalg import LinearMap, as_vector, inner, operator_norm
 
 __all__ = [
     "ResolventOperator",
@@ -69,7 +70,8 @@ class L1Subdifferential(ResolventOperator):
     """M = subdifferential of f = ||.||_1; resolvent(gamma, .) soft thresholds at gamma."""
 
     def value(self, v):
-        return float(np.sum(np.abs(v)))
+        total = np.sum(np.abs(v), axis=-1)
+        return float(total) if total.ndim == 0 else total
 
     def resolvent(self, gamma, v):
         return prox_l1(v, gamma)
@@ -99,7 +101,8 @@ class AffineConstraint(ResolventOperator):
         self.dim = A.in_dim
 
     def project(self, v):
-        return v - self._pinv @ (self.A.apply(v) - self.b)
+        r = self.A.apply(v) - self.b  # the pinv product is stacked for a block, as in LinearMap
+        return v - (self._pinv @ r if r.ndim == 1 else np.matmul(self._pinv, r[..., None])[..., 0])
 
     def resolvent(self, gamma, v):
         return self.project(v)
@@ -158,7 +161,7 @@ class QuadraticTerm(SmoothTerm):
 
     def value(self, v):
         r = self.B.apply(v) - self.c
-        return 0.5 * float(np.dot(r, r))
+        return 0.5 * inner(r, r)
 
     def gradient(self, v):
         return self.B.adjoint_apply(self.B.apply(v) - self.c)

@@ -88,7 +88,7 @@ class PdProblem:
         return operator_norm(self.A)
 
     def objective(self, x):
-        return float(self.f.value(x)) + float(self.h.value(x))
+        return self.f.value(x) + self.h.value(x)
 
     def feasibility(self, x):
         return norm(self.A.apply(x) - self.b)
@@ -272,8 +272,10 @@ def pd_zeta(state: PdState, problem: PdProblem, params: PdParams):
 
 def certificate_residual(state: PdState, problem: PdProblem):
     """Norm of (w_k + grad h(x_k), b - A x_k); vanishes at optimality.
-    grad h(x_k) and A x_k are the images the state carries."""
-    return math.hypot(norm(state.w + state.grad), norm(problem.b - state.ax))
+    grad h(x_k) and A x_k are the images the state carries.  Stacked rows
+    get one each, by ``math.hypot``, which ``np.hypot`` does not match."""
+    hypot = np.frompyfunc(math.hypot, 2, 1)
+    return hypot(norm(state.w + state.grad), norm(problem.b - state.ax))
 
 
 def certificate_subgradient(state: PdState, problem: PdProblem):

@@ -197,6 +197,55 @@ def test_divergence_raises_no_floating_point_warnings():
     assert result.diverged_at > 10
 
 
+@pytest.mark.parametrize("every_iteration", [True, False], ids=["every", "default"])
+def test_overflowed_metrics_end_the_run(every_iteration):
+    # z_k = 2 z_{k-1} + 1 grows like 2^k from z_0 = 0 and stays finite up to
+    # k = 1023, but rfix = ||z_k + 1|| squares 2^k, so its norm overflows
+    # first at k = 512: the run ends at the first checkpoint from there on
+    problem = InclusionProblem(ZeroOperator(), _LyingMap())
+    checkpoints = list(range(1, 5001)) if every_iteration else default_checkpoints(5000)
+    config = ExperimentConfig(method="fbs", gamma=1.0, iters=5000,
+                              checkpoints=checkpoints if every_iteration else None)
+    result = run_experiment(config, problem=problem)
+    assert result.diverged and result.reason == "non-finite metrics"
+    assert result.diverged_at == min(k for k in checkpoints if k >= 512)
+    assert [r.k for r in result.records] == [k for k in checkpoints if k < 512]
+    for r in result.records:  # z_k - z_{k-1} = 2^(k-1) (1, 1), z_k + 1 = 2^k (1, 1)
+        assert (r.velocity, r.rfix) == (math.sqrt(2) * 2.0**(r.k - 1), math.sqrt(2) * 2.0**r.k)
+
+
+class _ScalesRowOnce(L1Subdifferential):
+    """Soft thresholding that scales row 1 of a block of rows by 1e200 at
+    its ``calls``-th application, and only then."""
+
+    def __init__(self, calls):
+        self.calls = calls
+
+    def resolvent(self, gamma, v):
+        out = super().resolvent(gamma, v)
+        self.calls -= 1
+        if self.calls == 0 and out.ndim == 2 and len(out) > 1:
+            out[1] *= 1e200
+        return out
+
+
+@pytest.mark.parametrize("size,iters,call", [((3, 4, 6), 60, 30), ((20, 50, 100), 400, 300)],
+                         ids=["one-block", "mid-block"])
+def test_lockstep_row_with_overflowed_metrics_leaves_the_other_rows(size, iters, call):
+    prob = generate_problem(*size, seed=2)
+    scaled = PdProblem(_ScalesRowOnce(call), prob.h, prob.A, prob.b)
+    configs = [ExperimentConfig(method="pd", alpha=a, iters=iters,
+                                checkpoints=list(range(1, iters + 1))) for a in (3.0, 5.0)]
+    first, second = run_experiment(configs[0], problem=scaled, lockstep=configs[1:])
+    solo = [run_experiment(c, problem=prob) for c in configs]
+    # the call-th resolvent call makes x_call, whose velocity overflows
+    assert (second.diverged, second.diverged_at) == (True, call)
+    assert second.reason == "non-finite metrics"
+    assert records_equal(second.records, solo[1].records[:call - 1])
+    assert not first.diverged
+    assert records_equal(first.records, solo[0].records)
+
+
 class _RowBlowsUp(L1Subdifferential):
     """Soft thresholding that sends row 1 of a block of rows to infinity from
     its ``calls``-th application on."""
@@ -233,6 +282,22 @@ def test_lockstep_row_divergence_leaves_the_other_rows(tmp_path, method):
         group_file, solo_file = ((tmp_path / f"{name}.csv").with_suffix(suffix)
                                  for name in ("group", "solo"))
         assert group_file.read_bytes() == solo_file.read_bytes()
+
+
+def test_lockstep_row_divergence_mid_block_leaves_the_other_rows():
+    # checkpoints at every iteration of (20, 50, 100) fill several blocks,
+    # and the row leaves inside one of them
+    prob = generate_problem(20, 50, 100, seed=2)
+    blows_up = PdProblem(_RowBlowsUp(300), prob.h, prob.A, prob.b)
+    configs = [ExperimentConfig(method="pd", alpha=a, iters=400,
+                                checkpoints=list(range(1, 401))) for a in (3.0, 5.0)]
+    first, second = run_experiment(configs[0], problem=blows_up, lockstep=configs[1:])
+    solo = [run_experiment(c, problem=prob) for c in configs]
+    assert (second.diverged, second.diverged_at) == (True, 299)
+    assert second.reason == "non-finite iterate"
+    assert records_equal(second.records, solo[1].records[:299])
+    assert not first.diverged
+    assert records_equal(first.records, solo[0].records)
 
 
 def test_lockstep_needs_runs_that_differ_only_in_step_parameters():
@@ -493,6 +558,45 @@ def test_lockstep_checkpoints_equal_a_recomputation_from_scratch(method):
         assert records_equal(result.records, _fresh_records(config, problem))
 
 
+def _count_measure_calls(monkeypatch, runner):
+    calls = []
+    measure = runner.measure
+
+    def counted(self, states, reference):
+        calls.append(len(states))
+        return measure(self, states, reference)
+
+    monkeypatch.setattr(runner, "measure", counted)
+    return calls
+
+
+# every-iteration checkpoints on (20, 50, 100), enough states for several blocks
+_BLOCKS = dict(m=20, p=50, n=100, seed=3, iters=700, checkpoints=list(range(1, 701)))
+
+
+@pytest.mark.parametrize("method", _INCLUSION_METHODS + ("pd", "pd_alt"))
+def test_checkpoints_across_blocks_equal_a_recomputation_from_scratch(monkeypatch, method):
+    config = ExperimentConfig(method=method, **_BLOCKS)
+    problem = generate_problem(20, 50, 100, seed=3)
+    runner = bench._PdDriver if method in ("pd", "pd_alt") else bench._InclusionDriver
+    blocks = _count_measure_calls(monkeypatch, runner)
+    records = run_experiment(config, problem=problem).records
+    assert len(blocks) >= 3 and sum(blocks) == 700
+    assert records_equal(records, _fresh_records(config, problem))
+
+
+@pytest.mark.parametrize("method", ["pd", "pd_alt"])
+def test_lockstep_checkpoints_across_blocks_equal_a_recomputation_from_scratch(monkeypatch,
+                                                                              method):
+    configs = [ExperimentConfig(method=method, alpha=alpha, **_BLOCKS) for alpha in (5.0, 10.0)]
+    problem = generate_problem(20, 50, 100, seed=3)
+    blocks = _count_measure_calls(monkeypatch, bench._PdDriver)
+    results = run_experiment(configs[0], problem=problem, lockstep=configs[1:])
+    assert len(blocks) >= 3 and sum(blocks) == 700
+    for config, result in zip(configs, results):
+        assert records_equal(result.records, _fresh_records(config, problem))
+
+
 class _ProductCounter:
     """Counts matrix products as the benchmark's tracer does: one per
     LinearMap application, plus one for a projection's pseudo-inverse."""
@@ -542,9 +646,15 @@ def test_checkpoint_and_step_products(monkeypatch, method, measure_products, ste
     runner = bench._PdDriver if method == "pd" else bench._InclusionDriver
     measures = counter.per_call(monkeypatch, runner, "measure")
     steps = counter.per_call(monkeypatch, bench, step_name)
-    run_experiment(ExperimentConfig(method=method, **_DENSE))
-    assert len(measures) == 40 and max(measures) <= measure_products
-    assert steps == [step_products] * 39
+    # a measure call makes one stacked product per operator, whether its
+    # block holds all 40 checkpoint states or one
+    for block_floats in (bench._BLOCK_FLOATS, 1):
+        monkeypatch.setattr(bench, "_BLOCK_FLOATS", block_floats)
+        measures.clear()
+        steps.clear()
+        run_experiment(ExperimentConfig(method=method, **_DENSE))
+        assert 1 <= len(measures) <= 40 and max(measures) <= measure_products
+        assert steps == [step_products] * 39
 
 
 def test_pd_params_validated_once_per_run(monkeypatch):

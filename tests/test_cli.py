@@ -350,6 +350,24 @@ def test_compare_refuses_a_config_file_method(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("method", ["pd", "pd_alt", "flag"])
+def test_solve_refuses_gamma_for_a_primal_dual_method(tmp_path, capsys, method):
+    # the primal-dual methods step by tau and sigma and never read gamma
+    code = cli.main(["solve", "--method", method, "--gamma", "0.1", "--m", "3", "--p", "4",
+                     "--n", "6", "--iters", "5", "--out", str(tmp_path / "run.csv")])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"configuration error: {method} takes no gamma")
+    assert not (tmp_path / "run.csv").exists()
+
+
+def test_compare_refuses_gamma_in_a_primal_dual_spec(tmp_path, capsys):
+    methods = [{"method": "pd", "alpha": 5}, {"method": "pd", "alpha": 10, "gamma": 0.1}]
+    code = _compare_with_config(tmp_path, {"methods": methods})
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("configuration error: pd takes no gamma")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("values,extra", [
     ({}, ["--methods", "pd:5,pd:5"]),
     ({"methods": [{"method": "pd", "tau": 0.01}, {"method": "pd", "tau": 0.02}]}, []),
