@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError
-from .ffb import _check_finite, _forward_backward, _start_point
+from .ffb import _check_alpha, _check_finite, _forward_backward, _start_point
 from .operators import InclusionProblem, ZeroMap
 
 __all__ = [
@@ -86,8 +86,7 @@ class BaselineMethod:
                 f"gamma={gamma} outside (0, 2*beta) = (0, {2.0 * beta})"
             )
         if self.variant == "fast_km":
-            if not self.alpha > 2:
-                raise ConfigurationError(f"fast_km needs alpha > 2, got {self.alpha}")
+            _check_alpha(self.alpha)
             s_max = 2.0 - (gamma / (2.0 * beta) if math.isfinite(beta) else 0.0)
             if not 0 < self.s < s_max:
                 raise ConfigurationError(

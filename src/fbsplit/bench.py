@@ -42,6 +42,7 @@ from .baselines import (
 from .errors import ConfigurationError, DivergenceError
 from .ffb import (
     FfbParams,
+    _check_alpha,
     _forward_backward,
     ffb_init,
     ffb_step_xi,
@@ -74,6 +75,7 @@ from .primal_dual import (
 __all__ = [
     "CSV_HEADER",
     "METHODS",
+    "STEP_FIELDS",
     "IterationRecord",
     "ExperimentConfig",
     "RunResult",
@@ -100,11 +102,16 @@ CSV_HEADER = ",".join(("k",) + _QUANTITIES + ("ns",))
 
 # primal-dual methods run on the PdProblem; the rest on its inclusion form
 _PD_METHODS = ("pd", "pd_alt", "flag")
-# runs of these methods that differ only in _ROW_FIELDS advance in lockstep
-_LOCKSTEP_METHODS = ("pd", "pd_alt")
-_ROW_FIELDS = ("alpha", "tau", "sigma", "out")
 _FFB_METHODS = ("ffb", "ffb_xi")
-METHODS = _FFB_METHODS + tuple(VARIANTS) + _PD_METHODS
+# the step fields each method reads, in METHODS order; a run refuses the rest
+STEP_FIELDS = {
+    **dict.fromkeys(_FFB_METHODS, ("alpha", "gamma")),
+    **{v: ("alpha", "gamma") if v == "fast_km" else ("gamma",) for v in VARIANTS},
+    "pd": ("alpha", "tau", "sigma"),
+    "pd_alt": ("alpha", "tau", "sigma"),
+    "flag": ("tau",),
+}
+METHODS = tuple(STEP_FIELDS)
 _BLOCK_FLOATS = 2**16  # of checkpoint states, measured together
 _EMIT_ROWS = 512  # records that emit formats and writes together
 
@@ -139,7 +146,7 @@ class ExperimentConfig:
     n: int = 100
     seed: int = 0
     iters: int = 1000
-    alpha: float = 5.0
+    alpha: Optional[float] = None
     gamma: Optional[float] = None
     tau: Optional[float] = None
     sigma: Optional[float] = None
@@ -150,13 +157,23 @@ class ExperimentConfig:
     out: Optional[str] = None
     format: str = "csv"
 
+    def __post_init__(self):
+        # a method that reads alpha runs at 5 unless given one
+        if self.alpha is None and "alpha" in STEP_FIELDS.get(self.method, ()):
+            self.alpha = 5.0
+
     def validate(self):
         if self.method not in METHODS:
             raise ConfigurationError(
                 f"unknown method {self.method!r}; choose from {', '.join(METHODS)}"
             )
-        if self.gamma is not None and self.method in _PD_METHODS:
-            raise ConfigurationError(f"{self.method} takes no gamma; its steps are tau and sigma")
+        reads = STEP_FIELDS[self.method]
+        for name in ("alpha", "gamma", "tau", "sigma"):
+            if getattr(self, name) is not None and name not in reads:
+                raise ConfigurationError(
+                    f"{self.method} takes no {name}; it reads only {', '.join(reads)}")
+        if self.alpha is not None:
+            _check_alpha(self.alpha)
         if self.iters < 1:
             raise ConfigurationError("iteration budget must be >= 1")
         if self.format not in ("csv", "json"):
@@ -288,21 +305,23 @@ def _load_reference(path):
                       bool(converged))
 
 
-def _params_from(defaults, config, *fields):
-    """``defaults`` with each of ``fields`` that ``config`` sets replaced."""
+def _params_from(defaults, config):
+    """``defaults`` with each step field that ``config`` sets replaced."""
     return dataclasses.replace(defaults, **{
-        name: getattr(config, name) for name in fields
+        name: getattr(config, name) for name in STEP_FIELDS[config.method]
         if getattr(config, name) is not None
     })
 
 
 def _lockstep_key(config):
     """What ``config`` shares with the runs it can advance with in lockstep,
-    as text: every field but alpha, tau, sigma and out.  None for a method
-    that steps one vector at a time."""
-    if config.method not in _LOCKSTEP_METHODS:
+    as text: every field but its method's step fields and out.  None for a
+    method that steps one vector at a time: all but pd and pd_alt, the two
+    that read sigma."""
+    fields = STEP_FIELDS[config.method]
+    if "sigma" not in fields:
         return None
-    return repr(dataclasses.replace(config, **dict.fromkeys(_ROW_FIELDS)))
+    return repr(dataclasses.replace(config, out=None, **dict.fromkeys(fields)))
 
 
 class _Stacked:
@@ -356,14 +375,13 @@ class _InclusionDriver:
         self.problem = problem
         self.method_name = config.method
         if config.method in _FFB_METHODS:
-            params = _params_from(FfbParams(), config, "alpha", "gamma").resolve(problem.beta)
+            params = _params_from(FfbParams(), config).resolve(problem.beta)
             step = ffb_step_y if config.method == "ffb" else ffb_step_xi
             self.gamma = params.gamma
             self.init = lambda: ffb_init(problem, params)
             self.step = lambda state: step(state, problem, params)
         else:
-            method = _params_from(BaselineMethod(config.method), config,
-                                  "gamma", "alpha").resolve(problem)
+            method = _params_from(BaselineMethod(config.method), config).resolve(problem)
             self.gamma = method.gamma
             self.init = lambda: baseline_init(method, problem)
             self.step = lambda state: baseline_step(method, state, problem)
@@ -400,12 +418,11 @@ class _PdDriver:
         self.problem = problem
         self.method_name = config.method
         if config.method == "flag":
-            self.params = _params_from(flag_default_params(problem), config, "tau").validate()
+            self.params = _params_from(flag_default_params(problem), config).validate()
             self._init, self._step = flag_init, flag_step
         else:
             # pd_init validates them, once per run
-            rows = [_params_from(pd_default_steps(c.alpha, problem), c, "tau", "sigma")
-                    for c in configs]
+            rows = [_params_from(pd_default_steps(c.alpha, problem), c) for c in configs]
             if len(rows) == 1:
                 self.params = rows[0]
             else:  # a block takes each parameter as a (K, 1) column, a row per run
@@ -470,8 +487,8 @@ def run_experiment(config: ExperimentConfig, problem=None, reference=None,
         key = _lockstep_key(config)
         if key is None or any(_lockstep_key(c) != key for c in lockstep):
             raise ConfigurationError(
-                "lockstep runs must share a method in "
-                f"{_LOCKSTEP_METHODS} and differ only in {', '.join(_ROW_FIELDS)}"
+                "lockstep runs must share pd or pd_alt and differ only in "
+                "alpha, tau, sigma and out"
             )
     if problem is None:
         problem = _build_problem(config)

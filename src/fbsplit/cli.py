@@ -73,7 +73,7 @@ def _accepts(kind, value):
     if kind is float:
         return isinstance(value, (int, float))
     if kind is list:
-        return isinstance(value, list) and all(_accepts(int, k) for k in value)
+        return isinstance(value, list) and all(type(k) is int for k in value)
     return isinstance(value, kind)
 
 
@@ -164,8 +164,6 @@ def cmd_compare(args):
     if args.methods or not method_specs:
         method_specs = [_parse_method_token(t)
                         for t in (args.methods or "pd:5,pd:10,flag").split(",")]
-    base = _config_from(args, values)
-    out_dir = Path(base.out) if base.out else Path("compare_out")
     configs = []
     for spec in method_specs:
         unknown = set(spec) - set(_SPEC_FIELDS)
@@ -174,14 +172,13 @@ def cmd_compare(args):
                                      f"got {sorted(unknown)}")
         # a shallow copy: the specs share the file's checkpoint list
         config = _config_from(args, dict(values), overrides=spec)
-        tag = f"{config.method}"
-        if config.method in ("pd", "pd_alt", "ffb", "ffb_xi", "fast_km") and config.alpha:
-            tag += f"_a{config.alpha:g}"
+        out_dir = Path(config.out or "compare_out")  # set for the whole command
+        tag = config.method if config.alpha is None else f"{config.method}_a{config.alpha:g}"
         config.out = str(out_dir / f"{tag}.{config.format}")
         if any(config.out == other.out for other in configs):
             raise ConfigurationError(f"two method specs would write {config.out}")
         configs.append(config)
-    problem = bench._build_problem(base)
+    problem = bench._build_problem(configs[0])  # every spec shares the instance
     out_dir.mkdir(parents=True, exist_ok=True)
     runs = _lockstep_groups(configs)
     # by output file, in spec order; no two specs share a file

@@ -10,6 +10,7 @@ from fbsplit import bench
 from fbsplit.bench import (
     CSV_HEADER,
     METHODS,
+    STEP_FIELDS,
     ExperimentConfig,
     IterationRecord,
     as_inclusion,
@@ -152,6 +153,24 @@ def test_run_experiment_rejects_bad_config():
         run_experiment(ExperimentConfig(method="ffb", iters=0))
     with pytest.raises(ConfigurationError):
         run_experiment(ExperimentConfig(method="ffb", alpha=1.5, m=3, p=4, n=6, iters=5))
+
+
+@pytest.mark.parametrize("field", ["alpha", "gamma", "tau", "sigma"])
+@pytest.mark.parametrize("method", METHODS)
+def test_validate_refuses_exactly_the_step_fields_a_method_does_not_read(method, field):
+    config = ExperimentConfig(method=method, **{field: 3.0})
+    if field in STEP_FIELDS[method]:
+        assert config.validate() is config
+    else:
+        with pytest.raises(ConfigurationError, match=f"^{method} takes no {field};"):
+            config.validate()
+
+
+def test_alpha_defaults_to_five_for_the_methods_that_read_it():
+    # filled in when the config is made, so an unvalidated config has it too
+    for method in METHODS:
+        expected = 5.0 if "alpha" in STEP_FIELDS[method] else None
+        assert ExperimentConfig(method=method).alpha == expected, method
 
 
 class _LyingMap(CocoerciveMap):

@@ -1,3 +1,4 @@
+import itertools
 import json
 from pathlib import Path
 
@@ -267,9 +268,9 @@ def test_compare_builds_each_problem_once(monkeypatch, tmp_path):
     # pd:5 and pd:10 run as one lockstep group and flag as another, on one
     # problem; every file equals the one a separate solve writes
     solo, group = tmp_path / "solo", tmp_path / "group"
-    for method, alpha, stem in (("pd", "5", "pd_a5"), ("pd", "10", "pd_a10"),
-                                ("flag", "5", "flag")):
-        assert cli.main(["solve", "--method", method, "--alpha", alpha, *_SWEEP,
+    for method, alpha, stem in (("pd", ["--alpha", "5"], "pd_a5"),
+                                ("pd", ["--alpha", "10"], "pd_a10"), ("flag", [], "flag")):
+        assert cli.main(["solve", "--method", method, *alpha, *_SWEEP,
                          "--out", str(solo / f"{stem}.csv")]) == 0
     calls = []
     generate = bench.generate_problem
@@ -368,6 +369,46 @@ def test_compare_refuses_gamma_in_a_primal_dual_spec(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_solve_refuses_a_step_field_the_method_does_not_read(tmp_path, capsys):
+    code = cli.main(["solve", "--method", "flag", "--sigma", "5", "--m", "3", "--p", "4",
+                     "--n", "6", "--iters", "5", "--out", str(tmp_path / "run.csv")])
+    assert code == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error: flag takes no sigma")
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_compare_step_flag_must_be_read_by_every_spec(tmp_path, capsys):
+    # --alpha applies to every spec, and flag reads no alpha
+    code = _compare_with_config(tmp_path, {}, "--alpha", "3", "--methods", "pd,flag")
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("configuration error: flag takes no alpha")
+    assert not (tmp_path / "out").exists()
+
+
+def test_compare_refuses_a_bad_alpha_before_writing(tmp_path, capsys):
+    # pd:1 is refused while the specs are read, before flag runs and writes
+    code = _compare_with_config(tmp_path, {}, "--methods", "flag,pd:1")
+    assert code == cli.EXIT_CONFIG
+    assert "alpha must exceed 2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+_README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_step_field_table_matches_the_code():
+    lines = _README.read_text().splitlines()
+    start = lines.index("| method | step fields |") + 2
+    table = {}
+    for line in itertools.takewhile(lambda line: line.startswith("|"), lines[start:]):
+        methods, fields = (cell.strip() for cell in line.strip("|").split("|"))
+        for method in methods.split(", "):
+            table[method.strip("`")] = tuple(f.strip("`") for f in fields.split(", "))
+    assert table == bench.STEP_FIELDS
+
+
 @pytest.mark.parametrize("values,extra", [
     ({}, ["--methods", "pd:5,pd:5"]),
     ({"methods": [{"method": "pd", "tau": 0.01}, {"method": "pd", "tau": 0.02}]}, []),
@@ -415,6 +456,8 @@ def test_npz_without_the_expected_arrays_is_an_error(tmp_path, capsys, flag, giv
     ("solve", {"iters": "100"}),
     ("solve", {"m": "3"}),
     ("solve", {"alpha": "5"}),
+    ("compare", {"checkpoints": [1, True]}),
+    ("compare", {"checkpoints": [1, 2.5]}),
 ])
 def test_config_value_of_wrong_type_is_config_error(tmp_path, capsys, command, values):
     cfg = tmp_path / "cfg.json"
