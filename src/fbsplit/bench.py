@@ -35,6 +35,7 @@ from .baselines import (
     C_CARRIED,
     FB_CARRIED,
     VARIANTS,
+    _PROX_ONLY,
     BaselineMethod,
     baseline_init,
     baseline_step,
@@ -103,10 +104,12 @@ CSV_HEADER = ",".join(("k",) + _QUANTITIES + ("ns",))
 # primal-dual methods run on the PdProblem; the rest on its inclusion form
 _PD_METHODS = ("pd", "pd_alt", "flag")
 _FFB_METHODS = ("ffb", "ffb_xi")
-# the step fields each method reads, in METHODS order; a run refuses the rest
+# the step fields each method reads, in METHODS order; a run refuses the rest.
+# Every instance here has C = grad h != 0, so the C = 0 baselines are left out
 STEP_FIELDS = {
     **dict.fromkeys(_FFB_METHODS, ("alpha", "gamma")),
-    **{v: ("alpha", "gamma") if v == "fast_km" else ("gamma",) for v in VARIANTS},
+    **{v: ("alpha", "gamma") if v == "fast_km" else ("gamma",)
+       for v in VARIANTS if v not in _PROX_ONLY},
     "pd": ("alpha", "tau", "sigma"),
     "pd_alt": ("alpha", "tau", "sigma"),
     "flag": ("tau",),

@@ -45,6 +45,7 @@ def _add_common(parser):
 
 def _add_run_options(parser):
     """The flags of the subcommands that run methods and emit records."""
+    parser.set_defaults(checkpoints=None)  # a field only a config file sets
     parser.add_argument("--gamma", type=float, default=None)
     parser.add_argument("--tau", type=float, default=None)
     parser.add_argument("--sigma", type=float, default=None)
@@ -79,16 +80,16 @@ def _accepts(kind, value):
 
 def _config_from(args, values, overrides=None):
     """``values`` overlaid with the flags that are set, then ``overrides``;
-    every key must name a config field and every value fit its type."""
+    each key of ``values`` needs a flag here, and each value its field's type."""
+    refused = values.keys() - (_CONFIG_TYPES.keys() & vars(args).keys())
+    if refused:
+        raise ConfigurationError(f"{args.command} takes no config keys {sorted(refused)}")
     for name in _CONFIG_TYPES:
         cli_val = getattr(args, name, None)
         if cli_val is not None:
             values[name] = cli_val
     if overrides:
         values.update(overrides)
-    unknown = set(values) - set(_CONFIG_TYPES)
-    if unknown:
-        raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
     for name, value in values.items():
         kind, *optional = _CONFIG_TYPES[name]
         if not (value is None and optional or _accepts(kind, value)):
@@ -159,8 +160,6 @@ def cmd_compare(args):
     if not (method_specs is None or isinstance(method_specs, list)
             and all(isinstance(spec, dict) for spec in method_specs)):
         raise ConfigurationError(f"methods must be a list of objects, got {method_specs!r}")
-    if "method" in values:
-        raise ConfigurationError("compare takes no 'method'; list its runs in 'methods'")
     if args.methods or not method_specs:
         method_specs = [_parse_method_token(t)
                         for t in (args.methods or "pd:5,pd:10,flag").split(",")]

@@ -112,14 +112,9 @@ def test_run_experiment_deterministic():
 
 
 def test_method_registry_smoke(bench_problem):
-    # every registered method runs on the benchmark instance, except the
-    # pure proximal-point schemes, which reject its nonzero forward map
+    # every registered method runs on the benchmark instance
     for method in METHODS:
         config = ExperimentConfig(method=method, iters=50)
-        if method in ("appm", "inertial_ppm"):
-            with pytest.raises(ConfigurationError):
-                run_experiment(config, problem=bench_problem)
-            continue
         result = run_experiment(config, problem=bench_problem)
         assert not result.diverged
         last = result.records[-1]

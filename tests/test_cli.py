@@ -1,3 +1,5 @@
+import ast
+import dataclasses
 import itertools
 import json
 from pathlib import Path
@@ -201,6 +203,60 @@ def test_reference_rejects_flags_it_does_not_read(flag):
     with pytest.raises(SystemExit) as exc_info:
         cli.main(["reference", "--m", "1", "--p", "2", "--n", "2"] + flag)
     assert exc_info.value.code == 2
+
+
+@pytest.mark.parametrize("key,value", [
+    ("tau", 0.001), ("sigma", 0.001), ("checkpoints", [10]), ("format", "json"),
+    ("timing", True), ("reference", "ref.npz"), ("method", "pd"),
+])
+def test_reference_config_refuses_a_field_it_has_no_flag_for(tmp_path, capsys, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    cache = tmp_path / "cache"
+    code = cli.main(["reference", "--config", str(cfg), "--m", "3", "--p", "4", "--n", "6",
+                     "--iters", "100000", "--out", str(cache)])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        f"configuration error: reference takes no config keys [{key!r}]")
+    assert not list(cache.glob("reference_*.npz"))
+
+
+@pytest.mark.parametrize("command", ["solve", "compare", "reference"])
+def test_config_file_sets_the_fields_its_subcommand_has_flags_for(tmp_path, capsys, command):
+    # the dests of the subcommand's own flags; checkpoints has no flag
+    subcommands = next(a.choices for a in cli.build_parser()._actions if a.dest == "command")
+    flags = {action.dest for action in subcommands[command]._actions}
+    fields = set(cli._CONFIG_TYPES)
+    expected = fields & flags | ({"checkpoints"} if command != "reference" else set())
+    if command == "solve":
+        assert expected == fields  # so a field added without a flag shows here
+    # every field at a value of its type; iters 0 stops an accepted file before a run
+    values = {**dataclasses.asdict(bench.ExperimentConfig(method="pd")),
+              "iters": 0, "out": str(tmp_path / "out")}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    assert cli.main([command, "--config", str(cfg)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    prefix = f"configuration error: {command} takes no config keys "
+    refused = set(ast.literal_eval(err[len(prefix):].strip())) if err.startswith(prefix) else set()
+    assert fields - refused == expected
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [["solve", "--method", "appm"],
+                                  ["compare", "--methods", "inertial_ppm"]])
+def test_the_c_zero_baselines_are_not_cli_methods(tmp_path, capsys, argv):
+    # both need C = 0, and every instance the CLI builds has C = grad h
+    out = tmp_path / "out"
+    code = cli.main(argv + ["--m", "3", "--p", "4", "--n", "6", "--iters", "5",
+                            "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: unknown method {argv[2]!r}; choose from ")
+    choices = err.split("choose from ", 1)[1].strip().split(", ")
+    assert choices == list(bench.METHODS)
+    assert "appm" not in choices and "inertial_ppm" not in choices
+    assert not out.exists()
 
 
 _SWEEP = ["--m", "5", "--p", "8", "--n", "12", "--seed", "1", "--iters", "300"]
