@@ -25,7 +25,9 @@ import math
 import operator
 import time
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Optional
 
@@ -52,13 +54,7 @@ from .ffb import (
     tangent_residual,
 )
 from .linalg import LinearMap, norm
-from .operators import (
-    AffineConstraint,
-    GradientMap,
-    InclusionProblem,
-    L1Subdifferential,
-    quadratic_term,
-)
+from .operators import InclusionProblem, L1Subdifferential, quadratic_term
 from .primal_dual import (
     PdParams,
     PdProblem,
@@ -88,6 +84,7 @@ __all__ = [
     "problem_fingerprint",
     "default_checkpoints",
     "run_experiment",
+    "run_grid",
     "fit_rate_slope",
     "reference_solution",
     "inclusion_reference",
@@ -183,6 +180,12 @@ class ExperimentConfig:
             raise ConfigurationError(f"format must be csv or json, got {self.format!r}")
         return self
 
+    def build_problem(self):
+        """The instance: loaded from ``problem_file`` if set, else generated."""
+        if self.problem_file is not None:
+            return load_problem(self.problem_file)
+        return generate_problem(self.m, self.p, self.n, self.seed)
+
 
 @dataclass
 class RunResult:
@@ -228,11 +231,8 @@ def _l1_least_squares(a_mat, b, b_mat, c):
 
 
 def as_inclusion(problem: PdProblem):
-    """Inclusion form of the smooth part: M the constraint normal cone,
-    C the gradient of h.  The nonsmooth f is dropped; zeros minimize h over
-    the constraint set."""
-    M = AffineConstraint(problem.A, problem.b)
-    return InclusionProblem(M, GradientMap(problem.h))
+    """The inclusion form of ``problem`` (``PdProblem.inclusion``), built once per instance."""
+    return problem.inclusion
 
 
 def save_problem(problem: PdProblem, path):
@@ -293,12 +293,6 @@ class _Reference:
     objective: float
     feasibility: float
     converged: bool
-
-
-def _build_problem(config: ExperimentConfig):
-    if config.problem_file is not None:
-        return load_problem(config.problem_file)
-    return generate_problem(config.m, config.p, config.n, config.seed)
 
 
 def _load_reference(path):
@@ -464,6 +458,13 @@ class _PdDriver:
             dual_velocity=norm(s.lam - s.lam_prev))
 
 
+def _driver(configs, problem):
+    """The driver of one run, or of a lockstep group of pd or pd_alt runs."""
+    if configs[0].method in _PD_METHODS:
+        return _PdDriver(configs, problem)
+    return _InclusionDriver(configs[0], problem)
+
+
 def run_experiment(config: ExperimentConfig, problem=None, reference=None,
                    lockstep=None):
     """Execute one configured run and return its records.
@@ -478,7 +479,8 @@ def run_experiment(config: ExperimentConfig, problem=None, reference=None,
     advance as the rows of one block on one problem, and the list of their
     results, ``config``'s first, is returned.  Each result equals its solo
     run's bit for bit, also when another row diverges; ``ns`` under
-    ``timing`` counts from the start of the group.
+    ``timing`` counts from the start of the group.  :func:`run_grid` forms
+    such groups from a grid of configs and runs them.
 
     Checkpoint states are measured in blocks, bit for bit as one at a time,
     by ``flush``; ``ns`` is stamped when a checkpoint is reached.
@@ -494,13 +496,10 @@ def run_experiment(config: ExperimentConfig, problem=None, reference=None,
                 "alpha, tau, sigma and out"
             )
     if problem is None:
-        problem = _build_problem(config)
+        problem = config.build_problem()
     if reference is None and config.reference is not None:
         reference = _load_reference(config.reference)
-    if config.method in _PD_METHODS:
-        driver = _PdDriver(configs, problem)
-    else:
-        driver = _InclusionDriver(config, problem)
+    driver = _driver(configs, problem)
     checkpoints = set(
         config.checkpoints if config.checkpoints is not None
         else default_checkpoints(config.iters)
@@ -558,6 +557,36 @@ def run_experiment(config: ExperimentConfig, problem=None, reference=None,
                     state = flush(state)
         flush(state)
     return results if lockstep is not None else results[0]
+
+
+def run_grid(configs, jobs=1):
+    """Build the instance and reference of ``configs[0]`` and check every run's
+    steps against it, so a refused grid runs nothing; the iterator returned runs
+    the lockstep groups (see :func:`run_experiment`) in turn or in ``jobs``
+    processes, and yields each group's (config, result) pairs as it finishes."""
+    if jobs < 1:
+        raise ConfigurationError(f"jobs must be at least 1, got {jobs}")
+    problem = configs[0].build_problem()
+    reference = None if configs[0].reference is None else _load_reference(configs[0].reference)
+    groups = {}  # a config no other can join forms a group of its own
+    for i, config in enumerate(configs):
+        # a run's driver resolves its steps and checks them; pd_init checks pd's and pd_alt's
+        driver = _driver([config.validate()], problem)
+        if config.method in ("pd", "pd_alt"):
+            driver.params.validate(problem)
+        key = _lockstep_key(config)
+        groups.setdefault(i if key is None else key, []).append(config)
+
+    def run_groups():
+        with contextlib.ExitStack() as stack:
+            run = map if jobs == 1 else stack.enter_context(ProcessPoolExecutor(jobs)).map
+            results = run(run_experiment, [g[0] for g in groups.values()], repeat(problem),
+                          repeat(reference), [g[1:] for g in groups.values()])
+            for group, group_results in zip(groups.values(), results):
+                yield from zip(group, group_results)
+                del group_results  # free the records before the next group runs
+
+    return run_groups()
 
 
 def fit_rate_slope(records, quantity, k_min=1):

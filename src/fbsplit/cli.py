@@ -6,11 +6,9 @@ Exit codes: 0 success, 2 configuration error, 3 divergence.
 import argparse
 import dataclasses
 import functools
-import itertools
 import json
 import sys
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import bench
@@ -104,36 +102,6 @@ def _parse_method_token(token):
     return {"method": name, "alpha": float(arg)} if arg else {"method": name}
 
 
-def _run_group(configs, problem):
-    """The results of ``configs``, one lockstep group, in their order, on
-    ``problem``."""
-    first, *rest = configs
-    if rest:
-        return bench.run_experiment(first, problem, lockstep=rest)
-    return [bench.run_experiment(first, problem)]
-
-
-def _group_results(runs, problem, jobs):
-    """Yield the results of each lockstep group in ``runs``, in order, each
-    as soon as it is ready; ``jobs`` > 1 worker processes receive
-    ``problem`` pickled."""
-    if jobs == 1:
-        yield from map(_run_group, runs, itertools.repeat(problem))
-        return
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        yield from pool.map(_run_group, runs, itertools.repeat(problem))
-
-
-def _lockstep_groups(configs):
-    """``configs`` by lockstep group, in order of first appearance; a
-    config no other can join forms a group of its own."""
-    groups = {}
-    for i, config in enumerate(configs):
-        key = bench._lockstep_key(config)
-        groups.setdefault(i if key is None else key, []).append(config)
-    return list(groups.values())
-
-
 def cmd_solve(args):
     config = _config_from(args, _file_values(args))
     result = bench.run_experiment(config)
@@ -153,8 +121,6 @@ def cmd_solve(args):
 
 
 def cmd_compare(args):
-    if args.jobs < 1:
-        raise ConfigurationError(f"--jobs must be at least 1, got {args.jobs}")
     values = _file_values(args)
     method_specs = values.pop("methods", None)
     if not (method_specs is None or isinstance(method_specs, list)
@@ -177,17 +143,15 @@ def cmd_compare(args):
         if any(config.out == other.out for other in configs):
             raise ConfigurationError(f"two method specs would write {config.out}")
         configs.append(config)
-    problem = bench._build_problem(configs[0])  # every spec shares the instance
+    grid = bench.run_grid(configs, args.jobs)  # refuses a bad run before any runs
     out_dir.mkdir(parents=True, exist_ok=True)
-    runs = _lockstep_groups(configs)
     # by output file, in spec order; no two specs share a file
     results = dict.fromkeys(config.out for config in configs)
-    for run, group_result in zip(runs, _group_results(runs, problem, args.jobs)):
-        for config, result in zip(run, group_result):
-            bench.emit(result.records, config.format, config.out)
-            # the table needs only the last record
-            results[config.out] = dataclasses.replace(result, records=result.records[-1:])
-        del group_result, result  # free the records before the next group runs
+    for config, result in grid:
+        bench.emit(result.records, config.format, config.out)
+        # the table needs only the last record
+        results[config.out] = dataclasses.replace(result, records=result.records[-1:])
+        del result  # free the records before the next group runs
     diverged = False
     print(f"{'method':<12} {'k':>8} {'velocity':>13} {'objective':>16} {'feasibility':>13}")
     for out, result in results.items():
@@ -229,7 +193,7 @@ def cmd_reference(args):
     # so one below the reference floor is refused rather than replaced
     config = _config_from(args, {"iters": 1_000_000, **_file_values(args)},
                           overrides={"method": "pd"})
-    problem = bench._build_problem(config)
+    problem = config.build_problem()
     cache_dir = config.out or "refcache"
     ref = bench.reference_solution(problem, budget=config.iters, alpha=config.alpha,
                                    cache_dir=cache_dir)

@@ -32,7 +32,8 @@ import numpy as np
 from .errors import ConfigurationError
 from .ffb import _check_alpha, _check_finite, _extrapolate, _extrapolation_coefficients
 from .linalg import LinearMap, as_vector, inner, norm, operator_norm
-from .operators import ResolventOperator, SmoothTerm
+from .operators import (AffineConstraint, GradientMap, InclusionProblem,
+                        ResolventOperator, SmoothTerm)
 
 __all__ = [
     "PdProblem",
@@ -86,6 +87,12 @@ class PdProblem:
     @cached_property
     def a_norm(self):
         return operator_norm(self.A)
+
+    @cached_property
+    def inclusion(self):
+        """Inclusion form of the smooth part: M the constraint normal cone, C the
+        gradient of h; f is dropped, so zeros minimize h over the constraint set."""
+        return InclusionProblem(AffineConstraint(self.A, self.b), GradientMap(self.h))
 
     def objective(self, x):
         return self.f.value(x) + self.h.value(x)

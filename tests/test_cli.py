@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fbsplit import bench, cli
+from fbsplit import bench, cli, operators
 from fbsplit.bench import CSV_HEADER, RunResult
 
 
@@ -72,10 +72,12 @@ def test_solve_divergence_exit_code(monkeypatch, capsys):
 
 
 def test_compare_divergence_before_first_checkpoint_exit_code(monkeypatch, tmp_path):
-    monkeypatch.setattr(
-        cli.bench, "run_experiment",
-        lambda config, problem=None, reference=None: RunResult(records=[], diverged=True),
-    )
+    def diverged(config, problem=None, reference=None, lockstep=None):
+        # run_experiment's contract: a list of results when given lockstep runs
+        results = [RunResult(records=[], diverged=True) for _ in [config, *(lockstep or ())]]
+        return results if lockstep is not None else results[0]
+
+    monkeypatch.setattr(cli.bench, "run_experiment", diverged)
     code = cli.main(["compare", "--methods", "pd:3,flag", "--m", "3", "--p", "4",
                      "--n", "6", "--iters", "5", "--out", str(tmp_path)])
     assert code == 3
@@ -451,6 +453,61 @@ def test_compare_refuses_a_bad_alpha_before_writing(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("methods,bound", [
+    ([{"method": "flag"}, {"method": "pd", "tau": 100}], "tau*sigma*||A||^2"),
+    ([{"method": "pd"}, {"method": "fbs", "gamma": 100}], "outside (0, 2*beta)"),
+], ids=["pd-tau", "fbs-gamma"])
+def test_compare_refuses_a_step_beyond_its_bound_before_writing(tmp_path, capsys, methods,
+                                                               bound, jobs):
+    # the bound needs the instance's norms; it is checked before the first
+    # group runs, so the group in front of the refused run writes nothing
+    code = _compare_with_config(tmp_path, {"methods": methods}, "--iters", "20",
+                                "--jobs", jobs)
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and bound in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_compare_refuses_a_missing_reference_before_writing(tmp_path, capsys):
+    code = _compare_with_config(tmp_path, {}, "--methods", "flag,pd:3",
+                                "--reference", str(tmp_path / "missing.npz"))
+    assert code == cli.EXIT_CONFIG
+    assert "missing.npz" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_compare_refuses_an_out_path_it_cannot_create_before_running(monkeypatch, tmp_path,
+                                                                     capsys):
+    calls = []
+    monkeypatch.setattr(cli.bench, "run_experiment", lambda *args, **kwargs: calls.append(args))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = cli.main(["compare", "--methods", "pd:3,flag", "--m", "3", "--p", "4", "--n", "6",
+                     "--iters", "5", "--out", str(blocker / "sub")])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error:")
+    assert calls == []
+
+
+def test_compare_builds_one_inclusion_form_per_instance(monkeypatch, tmp_path):
+    # the eight inclusion-form methods share the instance's projection
+    builds = []
+    init = operators.AffineConstraint.__init__
+
+    def spy(self, *args):
+        builds.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(operators.AffineConstraint, "__init__", spy)
+    methods = "ffb,ffb_xi,fbs,fast_km,crifba,lorenz_pock,moudafi_oliny,relaxed_inertial"
+    assert cli.main(["compare", "--methods", methods, "--m", "3", "--p", "4", "--n", "6",
+                     "--iters", "20", "--out", str(tmp_path)]) == 0
+    assert len(builds) == 1
+    assert len(list(tmp_path.glob("*.csv"))) == 8
+
+
 _README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -488,6 +545,41 @@ def test_rates_refuses_a_quantity_that_is_not_a_column(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("configuration error:")
     assert "velocity, rtan, rfix, objective, feasibility, gap" in captured.err
+
+
+def test_config_file_holding_an_array_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps([{"method": "pd"}]))
+    assert cli.main(["solve", "--config", str(cfg)]) == cli.EXIT_CONFIG
+    assert "configuration error: a config file holds one JSON object" in capsys.readouterr().err
+
+
+def test_config_file_format_outside_csv_and_json_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"format": "xml"}))
+    out = tmp_path / "run.xml"
+    code = cli.main(["solve", "--config", str(cfg), "--method", "pd", "--m", "3", "--p", "4",
+                     "--n", "6", "--iters", "5", "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    assert "format must be csv or json, got 'xml'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_solve_refuses_a_negative_tau(capsys):
+    code = cli.main(["solve", "--method", "pd", "--tau", "-1", "--m", "3", "--p", "4",
+                     "--n", "6", "--iters", "5"])
+    assert code == cli.EXIT_CONFIG
+    assert "tau and sigma must be positive" in capsys.readouterr().err
+
+
+def test_rates_reports_a_file_too_short_to_fit(tmp_path, capsys):
+    out = tmp_path / "run.csv"
+    assert cli.main(["solve", "--method", "pd", "--m", "3", "--p", "4", "--n", "6",
+                     "--iters", "5", "--out", str(out)]) == 0
+    assert len(bench.read_records_csv(out)) == 5
+    capsys.readouterr()
+    assert cli.main(["rates", str(out), "--quantities", "velocity"]) == cli.EXIT_OK
+    assert "unusable (need >= 10 usable records for 'velocity'" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("flag,given,missing", [
