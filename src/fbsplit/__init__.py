@@ -17,13 +17,11 @@ from .linalg import LinearMap, identity, inner, operator_norm
 from .operators import (
     AffineConstraint,
     CocoerciveMap,
-    GradientMap,
     InclusionProblem,
     L1Subdifferential,
     QuadraticTerm,
     ResolventOperator,
     SmoothTerm,
-    ZeroMap,
     ZeroOperator,
     prox_l1,
     quadratic_term,
@@ -68,7 +66,6 @@ from .bench import (
     ExperimentConfig,
     IterationRecord,
     RateFit,
-    as_inclusion,
     emit,
     fit_rate_slope,
     generate_problem,

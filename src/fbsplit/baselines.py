@@ -13,8 +13,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError
-from .ffb import _check_alpha, _check_finite, _forward_backward, _start_point
-from .operators import InclusionProblem, ZeroMap
+from .ffb import _check_alpha, _check_finite, _extrapolate, _forward_backward, _start_point
+from .operators import InclusionProblem, ZeroSmoothTerm
 
 __all__ = [
     "VARIANTS",
@@ -41,6 +41,8 @@ _PROX_ONLY = ("inertial_ppm", "appm")
 
 # cap keeping inertial coefficients strictly below 1/3 where convergence needs it
 _THIRD_CAP = 1.0 / 3.0 - 1e-3
+# relaxation factor of crifba and relaxed_inertial
+_RELAXATION = 0.9
 
 # variants whose next step evaluates C(z_k), or FB(z_k) = J(z_k - g C(z_k)),
 # at the iterate itself; the state carries that image
@@ -56,15 +58,13 @@ class BaselineMethod:
     variant: str
     gamma: Optional[float] = None
     alpha: float = 5.0   # fast_km acceleration parameter
-    s: float = 1.0       # fast_km averaging weight
-    rho: float = 0.9     # crifba relaxation factor
 
     def resolve(self, problem: InclusionProblem):
         """Validate against the problem and fill in a concrete step size."""
         if self.variant not in VARIANTS:
             raise ConfigurationError(f"unknown baseline variant {self.variant!r}")
         beta = problem.beta
-        if self.variant in _PROX_ONLY and not isinstance(problem.C, ZeroMap):
+        if self.variant in _PROX_ONLY and not isinstance(problem.C, ZeroSmoothTerm):
             raise ConfigurationError(
                 f"{self.variant} is a pure proximal-point scheme and requires C = 0"
             )
@@ -81,19 +81,12 @@ class BaselineMethod:
                 )
         if not gamma > 0:
             raise ConfigurationError(f"gamma must be positive, got {gamma}")
-        if self.variant not in _PROX_ONLY and math.isfinite(beta) and not gamma < 2.0 * beta:
+        if math.isfinite(beta) and not gamma < 2.0 * beta:
             raise ConfigurationError(
                 f"gamma={gamma} outside (0, 2*beta) = (0, {2.0 * beta})"
             )
         if self.variant == "fast_km":
             _check_alpha(self.alpha)
-            s_max = 2.0 - (gamma / (2.0 * beta) if math.isfinite(beta) else 0.0)
-            if not 0 < self.s < s_max:
-                raise ConfigurationError(
-                    f"fast_km needs 0 < s < {s_max}, got {self.s}"
-                )
-        if not 0 < self.rho <= 1:
-            raise ConfigurationError(f"rho must lie in (0, 1], got {self.rho}")
         return replace(self, gamma=gamma)
 
 
@@ -116,7 +109,7 @@ class BaselineState:
     fb: Optional[np.ndarray] = None        # fbs / fast_km J(z_k - g C(z_k))
 
 
-def default_schedules(variant, k, gamma=None, alpha=None, s=None):
+def default_schedules(variant, k, alpha=None):
     """Documented default coefficients of ``variant`` at iteration ``k``."""
     if k < 1:
         raise ConfigurationError(f"k must be >= 1, got {k}")
@@ -126,17 +119,16 @@ def default_schedules(variant, k, gamma=None, alpha=None, s=None):
     if variant in ("inertial_ppm", "moudafi_oliny", "lorenz_pock"):
         return {"alpha_k": min(_THIRD_CAP, nesterov)}
     if variant == "relaxed_inertial":
-        return {"alpha_k": nesterov, "rho_k": 0.9, "mu_k": gamma}
+        return {"alpha_k": nesterov}
     if variant == "crifba":
         return {"alpha_k": nesterov, "delta_k": nesterov}
     if variant == "appm":
         return {"alpha_k": 1.0 - 2.0 / (k + 1.0)}
     if variant == "fast_km":
         return {
-            "fix_weight": 1.0 - s * alpha / (2.0 * (k + alpha)),
-            "momentum": (1.0 - s) * k / (k + alpha),
-            "fb_new": s * (alpha + 2.0 * k) / (2.0 * (k + alpha)),
-            "fb_old": -s * k / (k + alpha),
+            "fix_weight": 1.0 - alpha / (2.0 * (k + alpha)),
+            "fb_new": (alpha + 2.0 * k) / (2.0 * (k + alpha)),
+            "fb_old": -k / (k + alpha),
         }
     raise ConfigurationError(f"unknown baseline variant {variant!r}")
 
@@ -184,7 +176,7 @@ def baseline_step(method: BaselineMethod, state: BaselineState,
     if gamma is None:
         raise ConfigurationError("method not resolved: gamma is None")
     variant = method.variant
-    co = default_schedules(variant, k, gamma=gamma, alpha=method.alpha, s=method.s)
+    co = default_schedules(variant, k, alpha=method.alpha)
     J = problem.M.resolvent
     z, z_prev = state.z, state.z_prev
 
@@ -202,10 +194,10 @@ def baseline_step(method: BaselineMethod, state: BaselineState,
         z_next = _fb(problem, gamma, z + co["alpha_k"] * (z - z_prev))
     elif variant == "relaxed_inertial":
         y = z + co["alpha_k"] * (z - z_prev)
-        z_next = (1.0 - co["rho_k"]) * y + co["rho_k"] * _fb(problem, co["mu_k"], y)
+        z_next = (1.0 - _RELAXATION) * y + _RELAXATION * _fb(problem, gamma, y)
     elif variant == "crifba":
-        y = z + co["alpha_k"] * (z - z_prev) + co["delta_k"] * (state.y_prev - z)
-        z_next = (1.0 - method.rho) * y + method.rho * _fb(problem, gamma, y)
+        y = _extrapolate(z, z_prev, state.y_prev, co["alpha_k"], co["delta_k"])
+        z_next = (1.0 - _RELAXATION) * y + _RELAXATION * _fb(problem, gamma, y)
         y_prev_new = y
     elif variant == "appm":
         y = z + co["alpha_k"] * (z - z_prev) + co["alpha_k"] * (state.y_prev2 - z_prev)
@@ -213,12 +205,7 @@ def baseline_step(method: BaselineMethod, state: BaselineState,
         y_prev2_new = state.y_prev
         y_prev_new = y
     elif variant == "fast_km":
-        z_next = (
-            co["fix_weight"] * z
-            + co["momentum"] * (z - z_prev)
-            + co["fb_new"] * state.fb
-            + co["fb_old"] * state.fb_prev
-        )
+        z_next = co["fix_weight"] * z + co["fb_new"] * state.fb + co["fb_old"] * state.fb_prev
         fb_prev_new = state.fb
 
     _check_finite(state, z_next)

@@ -78,7 +78,6 @@ __all__ = [
     "RunResult",
     "RateFit",
     "generate_problem",
-    "as_inclusion",
     "save_problem",
     "load_problem",
     "problem_fingerprint",
@@ -230,11 +229,6 @@ def _l1_least_squares(a_mat, b, b_mat, c):
     )
 
 
-def as_inclusion(problem: PdProblem):
-    """The inclusion form of ``problem`` (``PdProblem.inclusion``), built once per instance."""
-    return problem.inclusion
-
-
 def save_problem(problem: PdProblem, path):
     np.savez(
         path,
@@ -295,9 +289,14 @@ class _Reference:
     converged: bool
 
 
-def _load_reference(path):
+def _load_reference(path, problem: PdProblem):
+    """The reference saved at ``path``, refused unless it is sized for ``problem``."""
     x_star, lam_star, objective, feasibility, converged = _load_arrays(
         path, "x_star", "lam_star", "objective", "feasibility", "converged")
+    if x_star.shape != (problem.n,) or lam_star.shape != (problem.m,):
+        raise ConfigurationError(
+            f"{path} holds a reference of n={x_star.size}, m={lam_star.size}; "
+            f"the instance has n={problem.n}, m={problem.m}")
     return _Reference(x_star, lam_star, float(objective), float(feasibility),
                       bool(converged))
 
@@ -368,7 +367,7 @@ class _InclusionDriver:
     def __init__(self, config, problem):
         self.pd = problem if isinstance(problem, PdProblem) else None
         if self.pd is not None:
-            problem = as_inclusion(problem)
+            problem = problem.inclusion
         self.problem = problem
         self.method_name = config.method
         if config.method in _FFB_METHODS:
@@ -498,7 +497,7 @@ def run_experiment(config: ExperimentConfig, problem=None, reference=None,
     if problem is None:
         problem = config.build_problem()
     if reference is None and config.reference is not None:
-        reference = _load_reference(config.reference)
+        reference = _load_reference(config.reference, problem)
     driver = _driver(configs, problem)
     checkpoints = set(
         config.checkpoints if config.checkpoints is not None
@@ -567,7 +566,8 @@ def run_grid(configs, jobs=1):
     if jobs < 1:
         raise ConfigurationError(f"jobs must be at least 1, got {jobs}")
     problem = configs[0].build_problem()
-    reference = None if configs[0].reference is None else _load_reference(configs[0].reference)
+    reference = (None if configs[0].reference is None
+                 else _load_reference(configs[0].reference, problem))
     groups = {}  # a config no other can join forms a group of its own
     for i, config in enumerate(configs):
         # a run's driver resolves its steps and checks them; pd_init checks pd's and pd_alt's
@@ -578,15 +578,29 @@ def run_grid(configs, jobs=1):
         groups.setdefault(i if key is None else key, []).append(config)
 
     def run_groups():
+        firsts, rests = [g[0] for g in groups.values()], [g[1:] for g in groups.values()]
         with contextlib.ExitStack() as stack:
-            run = map if jobs == 1 else stack.enter_context(ProcessPoolExecutor(jobs)).map
-            results = run(run_experiment, [g[0] for g in groups.values()], repeat(problem),
-                          repeat(reference), [g[1:] for g in groups.values()])
+            if jobs == 1:
+                results = map(run_experiment, firsts, repeat(problem), repeat(reference), rests)
+            else:  # each worker is sent the instance and the reference once
+                pool = ProcessPoolExecutor(jobs, initializer=_share, initargs=(problem, reference))
+                results = stack.enter_context(pool).map(_run_shared, firsts, rests)
             for group, group_results in zip(groups.values(), results):
                 yield from zip(group, group_results)
                 del group_results  # free the records before the next group runs
 
     return run_groups()
+
+
+_shared = {}  # the instance and reference a worker process was sent, by _share
+
+
+def _share(problem, reference):
+    _shared.update(problem=problem, reference=reference)
+
+
+def _run_shared(config, lockstep):
+    return run_experiment(config, _shared["problem"], _shared["reference"], lockstep)
 
 
 def fit_rate_slope(records, quantity, k_min=1):
@@ -640,7 +654,7 @@ def reference_solution(problem: PdProblem, budget=1_000_000, alpha=5.0,
         key = f"{problem_fingerprint(problem)}_a{alpha:g}_b{budget}"
         cache_path = cache_dir / f"reference_{key}.npz"
     if cache_path is not None and cache_path.exists():
-        ref = _load_reference(cache_path)
+        ref = _load_reference(cache_path, problem)
     else:
         params = pd_default_steps(alpha, problem)
         state = pd_init(problem, params)

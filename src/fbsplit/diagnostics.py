@@ -232,8 +232,8 @@ def r_certificate(next_state: FfbState, params: FfbParams, nu: NuConstants):
 
 
 def monotonicity_certificate(state: FfbState, z_star, problem: InclusionProblem):
-    """<z_k - z*, xi_k + C(z_k)>; nonnegative for any solution z*."""
-    return inner(state.z - z_star, state.xi + problem.C.apply(state.z))
+    """<z_k - z*, xi_k + C(z_k)> with the carried C(z_k); nonnegative for any solution z*."""
+    return inner(state.z - z_star, state.xi + state.c)
 
 
 @dataclass
@@ -252,29 +252,20 @@ class PerturbedDecreaseReport:
     holds: bool
 
 
-def perturbed_decrease_check(f_series, alpha, eta, start_k=1, slack=0.0):
-    """Scan F_{k+1} <= (1 + d_k) F_k with d_k = nu8/((k+1)^{3/2} - nu8).
-
-    ``f_series[i]`` is F at index start_k + i.  ``slack`` adds an absolute
-    tolerance of slack*max(1, |F_k|) per comparison.
-    """
+def perturbed_decrease_check(f_series, alpha, eta):
+    """Scan F_{k+1} <= (1 + d_k) F_k with d_k = nu8/((k+1)^{3/2} - nu8),
+    where ``f_series[k-1]`` is F_k."""
     f = np.asarray(f_series, dtype=float)
     if f.ndim != 1 or f.size < 2:
         raise ValueError("need a 1-D series of at least two F values")
     nu8 = _nu8(alpha, eta)
     violations = []
-    for i in range(f.size - 1):
-        k = start_k + i
+    for k in range(1, f.size):
         d_k = nu8 / ((k + 1.0) ** 1.5 - nu8)
-        bound = (1.0 + d_k) * f[i] + slack * max(1.0, abs(f[i]))
-        if f[i + 1] > bound:
+        if f[k] > (1.0 + d_k) * f[k - 1]:
             violations.append(k)
-    if not violations:
-        k_stable = start_k
-        holds = True
-    else:
-        k_stable = violations[-1] + 1
-        holds = k_stable <= start_k + f.size - 2
+    k_stable = violations[-1] + 1 if violations else 1
+    holds = k_stable <= f.size - 1
     return PerturbedDecreaseReport(
         k_stable=k_stable, violations=violations, checked=f.size - 1, holds=holds
     )

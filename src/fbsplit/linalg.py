@@ -91,9 +91,6 @@ class LinearMap:
             return self.matrix.T @ u
         return np.matmul(self.matrix.T, u[..., None])[..., 0]
 
-    def __repr__(self):
-        return f"LinearMap({self.out_dim}x{self.in_dim})"
-
 
 def identity(n):
     return LinearMap(np.eye(n))

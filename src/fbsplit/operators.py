@@ -25,8 +25,6 @@ __all__ = [
     "ZeroOperator",
     "L1Subdifferential",
     "AffineConstraint",
-    "ZeroMap",
-    "GradientMap",
     "QuadraticTerm",
     "ZeroSmoothTerm",
     "quadratic_term",
@@ -118,18 +116,9 @@ class CocoerciveMap:
         raise NotImplementedError
 
 
-class ZeroMap(CocoerciveMap):
-    """C = 0, cocoercive with any modulus; beta is reported as +inf."""
-
-    def apply(self, v):
-        return np.zeros_like(np.asarray(v, dtype=float))
-
-
-class SmoothTerm:
-    """Convex differentiable term whose gradient is (1/beta)-Lipschitz."""
-
-    beta = math.inf
-    dim = None
+class SmoothTerm(CocoerciveMap):
+    """Convex differentiable term whose gradient is (1/beta)-Lipschitz, and so
+    beta-cocoercive (Baillon-Haddad): the term is the forward map C = grad h."""
 
     def value(self, v):
         raise NotImplementedError
@@ -137,17 +126,9 @@ class SmoothTerm:
     def gradient(self, v):
         raise NotImplementedError
 
-
-class GradientMap(CocoerciveMap):
-    """The gradient of a smooth term, cocoercive with the term's modulus."""
-
-    def __init__(self, term: SmoothTerm):
-        self.term = term
-        self.beta = term.beta
-        self.dim = term.dim
-
     def apply(self, v):
-        return self.term.gradient(v)
+        # a call, not an alias of gradient, so a wrapped gradient is reached too
+        return self.gradient(v)
 
 
 class QuadraticTerm(SmoothTerm):
@@ -168,7 +149,7 @@ class QuadraticTerm(SmoothTerm):
 
 
 class ZeroSmoothTerm(SmoothTerm):
-    """h = 0 with zero gradient; beta is +inf."""
+    """h = 0 with zero gradient, so also the forward map C = 0; beta is +inf."""
 
     def __init__(self, dim=None):
         self.dim = dim

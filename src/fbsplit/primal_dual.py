@@ -32,8 +32,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .ffb import _check_alpha, _check_finite, _extrapolate, _extrapolation_coefficients
 from .linalg import LinearMap, as_vector, inner, norm, operator_norm
-from .operators import (AffineConstraint, GradientMap, InclusionProblem,
-                        ResolventOperator, SmoothTerm)
+from .operators import AffineConstraint, InclusionProblem, ResolventOperator, SmoothTerm
 
 __all__ = [
     "PdProblem",
@@ -90,9 +89,9 @@ class PdProblem:
 
     @cached_property
     def inclusion(self):
-        """Inclusion form of the smooth part: M the constraint normal cone, C the
-        gradient of h; f is dropped, so zeros minimize h over the constraint set."""
-        return InclusionProblem(AffineConstraint(self.A, self.b), GradientMap(self.h))
+        """Inclusion form of the smooth part: M the constraint normal cone, C = h
+        (its apply is grad h); f is dropped, so zeros minimize h over the constraint set."""
+        return InclusionProblem(AffineConstraint(self.A, self.b), self.h)
 
     def objective(self, x):
         return self.f.value(x) + self.h.value(x)
@@ -266,13 +265,13 @@ def pd_step_alternative(state: PdState, problem: PdProblem, params: PdParams):
 
 
 def pd_zeta(state: PdState, problem: PdProblem, params: PdParams):
-    """Dual certificate from the extrapolation points; equals b - A x_k."""
+    """Dual certificate from the extrapolation points and the carried A x_k; equals b - A x_k."""
     if state.v is None or state.dual_extrap is None:
         raise ConfigurationError("zeta needs the extrapolation points")
     return (
         -problem.A.apply(state.v)
         + state.dual_extrap / params.sigma
-        + problem.A.apply(state.x)
+        + state.ax
         - state.lam / params.sigma
     )
 
@@ -301,17 +300,17 @@ def lagrangian_gap(x, lam, x_star, lam_star, problem: PdProblem):
 def objective_bounds(state: PdState, problem: PdProblem, x_star, lam_star):
     """Two-sided bound on the objective error at the current iterate.
 
-    Returns (lower, gap, upper) with
+    Returns (lower, gap, upper), from the images the state carries, with
     lower = -||lam_star|| * ||A x_k - b||,
     gap   = (f+h)(x_k) - (f+h)(x_star),
     upper = ||lam_star|| * ||A x_k - b|| + <(x_k - x*, lam_k - lam*),
             (w_k + grad h(x_k), b - A x_k)>.
     """
-    r = problem.feasibility(state.x)
+    r = norm(state.ax - problem.b)
     lam_norm = float(np.linalg.norm(lam_star))
     gap = problem.objective(state.x) - problem.objective(x_star)
-    cross = inner(state.x - x_star, state.w + problem.h.gradient(state.x)) + inner(
-        state.lam - lam_star, problem.b - problem.A.apply(state.x)
+    cross = inner(state.x - x_star, state.w + state.grad) + inner(
+        state.lam - lam_star, problem.b - state.ax
     )
     return -lam_norm * r, gap, lam_norm * r + cross
 

@@ -9,7 +9,6 @@ import pytest
 
 from fbsplit.bench import (
     ExperimentConfig,
-    as_inclusion,
     generate_problem,
     inclusion_reference,
     reference_solution,
@@ -42,7 +41,7 @@ def bench_problem():
 
 @pytest.fixture(scope="session")
 def bench_inclusion(bench_problem):
-    return as_inclusion(bench_problem)
+    return bench_problem.inclusion
 
 
 @pytest.fixture(scope="session")

@@ -44,7 +44,6 @@ from fbsplit.ffb import ffb_init, ffb_step_xi, ffb_step_y
 from fbsplit.linalg import LinearMap
 from fbsplit.operators import (
     AffineConstraint,
-    GradientMap,
     InclusionProblem,
     quadratic_term,
 )
@@ -63,8 +62,8 @@ def test_criterion_01_formulation_equivalence():
     a = rng.standard_normal((10, 50))
     problem = InclusionProblem(
         AffineConstraint(LinearMap(a), a @ rng.standard_normal(50)),
-        GradientMap(quadratic_term(LinearMap(rng.standard_normal((30, 50))),
-                                   rng.standard_normal(30))),
+        quadratic_term(LinearMap(rng.standard_normal((30, 50))),
+                       rng.standard_normal(30)),
     )
     from fbsplit.ffb import FfbParams
 

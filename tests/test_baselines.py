@@ -14,10 +14,9 @@ from fbsplit.errors import ConfigurationError
 from fbsplit.linalg import LinearMap, identity
 from fbsplit.operators import (
     AffineConstraint,
-    GradientMap,
     InclusionProblem,
     L1Subdifferential,
-    ZeroMap,
+    ZeroSmoothTerm,
     quadratic_term,
 )
 from test_ffb import scalar_problem
@@ -37,10 +36,9 @@ def test_default_schedules_lorenz_pock_cap():
 
 
 def test_default_schedules_fast_km_momentum():
-    co = default_schedules("fast_km", 1, alpha=3.0, s=0.4)
-    assert co["momentum"] == pytest.approx((1.0 - 0.4) * 0.25)
+    co = default_schedules("fast_km", 1, alpha=3.0)
     # weights applied to a common fixed point sum to one
-    total = co["fix_weight"] + co["momentum"] * 0 + co["fb_new"] + co["fb_old"]
+    total = co["fix_weight"] + co["fb_new"] + co["fb_old"]
     assert total == pytest.approx(1.0)
 
 
@@ -65,7 +63,7 @@ def _fixed_point_fixture():
     b = m @ z_star
     prob = InclusionProblem(
         AffineConstraint(LinearMap(m), b),
-        GradientMap(quadratic_term(identity(6), z_star)),
+        quadratic_term(identity(6), z_star),
     )
     return prob, prob.M.resolvent(1.0, z_star)
 
@@ -82,24 +80,12 @@ def test_fixed_points_stay_fixed(variant):
 
 @pytest.mark.parametrize("variant", ["inertial_ppm", "appm"])
 def test_proximal_variants_fixed_points(variant):
-    prob = InclusionProblem(L1Subdifferential(), ZeroMap())
+    prob = InclusionProblem(L1Subdifferential(), ZeroSmoothTerm())
     method = BaselineMethod(variant, gamma=0.7).resolve(prob)
     state = baseline_init(method, prob, z0=np.zeros(3))
     for _ in range(5):
         state = baseline_step(method, state, prob)
         np.testing.assert_allclose(state.z, np.zeros(3), atol=1e-15)
-
-
-def test_crifba_degenerates_to_fbs():
-    prob = scalar_problem()
-    crifba = BaselineMethod("crifba", gamma=0.8, rho=1.0).resolve(prob)
-    fbs = BaselineMethod("fbs", gamma=0.8).resolve(prob)
-    z0 = np.array([1.7])
-    s_c = baseline_init(crifba, prob, z0=z0)
-    s_f = baseline_init(fbs, prob, z0=z0)
-    # crifba holds z1 = z0; one crifba step equals the fbs map applied to z0
-    s_c = baseline_step(crifba, s_c, prob)
-    assert s_c.z[0] == pytest.approx(s_f.z[0], abs=1e-15)
 
 
 def test_lorenz_pock_evaluates_forward_map_at_extrapolation():
@@ -126,7 +112,7 @@ def test_moudafi_oliny_evaluates_forward_map_at_iterate():
 
 
 def test_appm_hand_recursion():
-    prob = InclusionProblem(L1Subdifferential(), ZeroMap())
+    prob = InclusionProblem(L1Subdifferential(), ZeroSmoothTerm())
     method = BaselineMethod("appm", gamma=1.0).resolve(prob)
     z0 = np.array([4.0])
     state = baseline_init(method, prob, z0=z0)
@@ -152,11 +138,7 @@ def test_parameter_range_validation():
     with pytest.raises(ConfigurationError):
         BaselineMethod("fbs", gamma=-1.0).resolve(prob)
     with pytest.raises(ConfigurationError):
-        BaselineMethod("fast_km", gamma=1.0, s=1.6).resolve(prob)  # s >= 2 - gamma/(2 beta)
-    with pytest.raises(ConfigurationError):
         BaselineMethod("fast_km", gamma=1.0, alpha=2.0).resolve(prob)
-    with pytest.raises(ConfigurationError):
-        BaselineMethod("crifba", gamma=1.0, rho=0.0).resolve(prob)
     with pytest.raises(ConfigurationError):
         BaselineMethod("nope").resolve(prob)
     assert BaselineMethod("fbs").resolve(prob).gamma == pytest.approx(prob.beta)

@@ -13,7 +13,6 @@ from fbsplit.bench import (
     STEP_FIELDS,
     ExperimentConfig,
     IterationRecord,
-    as_inclusion,
     default_checkpoints,
     emit,
     fit_rate_slope,
@@ -27,9 +26,10 @@ from fbsplit.bench import (
     run_experiment,
     save_problem,
 )
+from fbsplit.diagnostics import monotonicity_certificate
 from fbsplit.errors import ConfigurationError
-from fbsplit.ffb import fixed_point_residual
-from fbsplit.linalg import LinearMap, identity
+from fbsplit.ffb import FfbParams, ffb_init, ffb_step_y, fixed_point_residual
+from fbsplit.linalg import LinearMap, identity, inner
 from fbsplit.operators import (
     AffineConstraint,
     CocoerciveMap,
@@ -38,7 +38,15 @@ from fbsplit.operators import (
     ZeroOperator,
     ZeroSmoothTerm,
 )
-from fbsplit.primal_dual import PdParams, PdProblem
+from fbsplit.primal_dual import (
+    PdParams,
+    PdProblem,
+    objective_bounds,
+    pd_default_steps,
+    pd_init,
+    pd_step,
+    pd_zeta,
+)
 
 
 def test_generate_problem_deterministic():
@@ -64,7 +72,7 @@ def test_generate_problem_dimensions_and_feasibility():
 
 
 def test_as_inclusion_dimensions(bench_problem):
-    incl = as_inclusion(bench_problem)
+    incl = bench_problem.inclusion
     assert incl.dim == bench_problem.n
     assert incl.beta == bench_problem.h.beta
 
@@ -669,6 +677,36 @@ def test_checkpoint_and_step_products(monkeypatch, method, measure_products, ste
         run_experiment(ExperimentConfig(method=method, **_DENSE))
         assert 1 <= len(measures) <= 40 and max(measures) <= measure_products
         assert steps == [step_products] * 39
+
+
+def test_certificates_read_the_images_the_state_carries(monkeypatch):
+    rng = np.random.default_rng(4)
+    problem = generate_problem(3, 4, 6, seed=2)
+    params = pd_default_steps(5.0, problem)
+    state = pd_step(pd_init(problem, params), problem, params)
+    incl = problem.inclusion
+    ffb_params = FfbParams().resolve(incl.beta)
+    z_state = ffb_step_y(ffb_init(incl, ffb_params), incl, ffb_params)
+    x_star, lam_star, z_star = rng.standard_normal(6), rng.standard_normal(3), rng.standard_normal(6)
+    # each value as its formula gives it when it recomputes the images
+    A, b = problem.A, problem.b
+    r, lam_norm = problem.feasibility(state.x), float(np.linalg.norm(lam_star))
+    cross = inner(state.x - x_star, state.w + problem.h.gradient(state.x)) + inner(
+        state.lam - lam_star, b - A.apply(state.x))
+    bounds = (-lam_norm * r, problem.objective(state.x) - problem.objective(x_star),
+              lam_norm * r + cross)
+    zeta = (-A.apply(state.v) + state.dual_extrap / params.sigma + A.apply(state.x)
+            - state.lam / params.sigma)
+    monotonicity = inner(z_state.z - z_star, z_state.xi + incl.C.apply(z_state.z))
+    counter = _ProductCounter(monkeypatch)
+    # recomputing took 6, 2 and 2 products; the two objective values need 2
+    for value, expected, products in (
+            (lambda: objective_bounds(state, problem, x_star, lam_star), bounds, 2),
+            (lambda: pd_zeta(state, problem, params), zeta, 1),
+            (lambda: monotonicity_certificate(z_state, z_star, incl), monotonicity, 0)):
+        before = counter.count
+        assert np.array_equal(value(), expected)
+        assert counter.count - before == products
 
 
 def test_pd_params_validated_once_per_run(monkeypatch):

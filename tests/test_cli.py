@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import itertools
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from fbsplit import bench, cli, operators
 from fbsplit.bench import CSV_HEADER, RunResult
+from fbsplit.primal_dual import PdProblem
 
 
 def test_solve_writes_csv(tmp_path, capsys):
@@ -478,6 +480,38 @@ def test_compare_refuses_a_missing_reference_before_writing(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "compare"])
+def test_a_reference_of_another_size_is_refused_before_writing(tmp_path, capsys, command):
+    # the arrays a (3, 4, 6) reference solve saves, given to a (4, 5, 7) instance
+    ref = tmp_path / "reference_3x4x6.npz"
+    np.savez(ref, x_star=np.zeros(6), lam_star=np.zeros(3), objective=1.0,
+             feasibility=0.0, converged=True)
+    out = tmp_path / "C"
+    argv = (["compare", "--methods", "ffb,pd", "--out", str(out)] if command == "compare"
+            else ["solve", "--method", "pd", "--out", str(out / "pd.csv")])
+    code = cli.main(argv + ["--m", "4", "--p", "5", "--n", "7", "--seed", "2", "--iters", "50",
+                            "--reference", str(ref)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and str(ref) in err
+    assert not out.exists()
+
+
+def test_compare_sends_the_instance_to_each_worker_once(monkeypatch, tmp_path):
+    # four groups, two workers: the instance is pickled at most once per worker
+    pickles = []
+
+    def getstate(self):
+        pickles.append(self)
+        return self.__dict__
+
+    monkeypatch.setattr(PdProblem, "__getstate__", getstate, raising=False)
+    assert cli.main(["compare", "--methods", "ffb,fbs,pd,flag", *_SWEEP, "--jobs", "2",
+                     "--out", str(tmp_path)]) == 0
+    assert len(pickles) <= 2
+    assert len(list(tmp_path.glob("*.csv"))) == 4
+
+
 def test_compare_refuses_an_out_path_it_cannot_create_before_running(monkeypatch, tmp_path,
                                                                      capsys):
     calls = []
@@ -520,6 +554,14 @@ def test_readme_step_field_table_matches_the_code():
         for method in methods.split(", "):
             table[method.strip("`")] = tuple(f.strip("`") for f in fields.split(", "))
     assert table == bench.STEP_FIELDS
+
+
+def test_readme_library_example_runs(capsys):
+    section = _README.read_text().split("## Library use", 1)[1]
+    example = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(example, str(_README), "exec"), {})
+    printed = capsys.readouterr().out.split()
+    assert len(printed) == 1 and math.isfinite(float(printed[0]))
 
 
 @pytest.mark.parametrize("values,extra", [

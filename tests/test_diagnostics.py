@@ -18,7 +18,7 @@ from fbsplit.diagnostics import (
 )
 from fbsplit.errors import ConfigurationError
 from fbsplit.ffb import FfbParams, FfbState, ffb_init, ffb_step_y
-from fbsplit.operators import InclusionProblem, ZeroMap, ZeroOperator
+from fbsplit.operators import InclusionProblem, ZeroOperator, ZeroSmoothTerm
 
 
 def test_nu_examples():
@@ -134,7 +134,7 @@ def test_energy_eta_zero_keeps_only_quadratic_terms():
 
 def test_energy_F_equals_E_for_constant_forward_map():
     # C identically zero: both correction terms vanish
-    prob = InclusionProblem(ZeroOperator(), ZeroMap())
+    prob = InclusionProblem(ZeroOperator(), ZeroSmoothTerm())
     rng = np.random.default_rng(10)
     params = FfbParams(alpha=4.0, gamma=0.7)
     state = _random_state(rng, k=5)

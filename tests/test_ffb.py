@@ -19,11 +19,10 @@ from fbsplit.linalg import LinearMap, identity
 from fbsplit.operators import (
     AffineConstraint,
     CocoerciveMap,
-    GradientMap,
     InclusionProblem,
     L1Subdifferential,
-    ZeroMap,
     ZeroOperator,
+    ZeroSmoothTerm,
     quadratic_term,
 )
 
@@ -38,7 +37,7 @@ class LinearForward(CocoerciveMap):
 
 
 def trivial_problem():
-    return InclusionProblem(ZeroOperator(), ZeroMap())
+    return InclusionProblem(ZeroOperator(), ZeroSmoothTerm())
 
 
 def scalar_problem():
@@ -83,7 +82,7 @@ def test_init_trivial_fixed_point():
 def test_init_soft_threshold_oracle():
     # M the l1 subdifferential in 1-D, C = 0, gamma = 1, y0 = 3:
     # z1 = soft(3, 1) = 2 and xi1 = (3 - 2)/1 = 1, a subgradient of |.| at 2
-    prob = InclusionProblem(L1Subdifferential(), ZeroMap())
+    prob = InclusionProblem(L1Subdifferential(), ZeroSmoothTerm())
     state = ffb_init(prob, FfbParams(alpha=3.0, gamma=1.0),
                      z0=np.array([0.0]), y0=np.array([3.0]))
     assert state.z[0] == pytest.approx(2.0)
@@ -98,7 +97,7 @@ def test_init_stationary_at_zero():
     # C vanishes at z_star: gradient of 0.5*||x - z_star||^2
     prob = InclusionProblem(
         AffineConstraint(LinearMap(m), b),
-        GradientMap(quadratic_term(identity(6), z_star)),
+        quadratic_term(identity(6), z_star),
     )
     params = FfbParams(alpha=5.0)
     state = ffb_init(prob, params, z0=z_star, y0=z_star)
@@ -151,8 +150,8 @@ def test_formulation_equivalence_long_run():
     b = m @ rng.standard_normal(20)
     prob = InclusionProblem(
         AffineConstraint(LinearMap(m), b),
-        GradientMap(quadratic_term(LinearMap(rng.standard_normal((10, 20))),
-                                   rng.standard_normal(10))),
+        quadratic_term(LinearMap(rng.standard_normal((10, 20))),
+                       rng.standard_normal(10)),
     )
     params = FfbParams(alpha=5.0).resolve(prob.beta)
     s_y = ffb_init(prob, params)
@@ -165,7 +164,7 @@ def test_formulation_equivalence_long_run():
 
 
 def test_tangent_residual_values():
-    prob = InclusionProblem(L1Subdifferential(), ZeroMap())
+    prob = InclusionProblem(L1Subdifferential(), ZeroSmoothTerm())
     state = ffb_init(prob, FfbParams(alpha=3.0, gamma=1.0),
                      z0=np.array([0.0]), y0=np.array([3.0]))
     assert tangent_residual(state) == pytest.approx(1.0)

@@ -4,10 +4,8 @@ import pytest
 from fbsplit.linalg import LinearMap, identity, inner
 from fbsplit.operators import (
     AffineConstraint,
-    GradientMap,
     InclusionProblem,
     L1Subdifferential,
-    ZeroMap,
     ZeroOperator,
     ZeroSmoothTerm,
     prox_l1,
@@ -78,7 +76,7 @@ def test_quadratic_beta_cocoercivity_sampled():
     # <C(z)-C(y), z-y> >= beta ||C(z)-C(y)||^2 on 500 pairs
     rng = np.random.default_rng(13)
     q = quadratic_term(LinearMap(rng.standard_normal((6, 4))), rng.standard_normal(6))
-    C = GradientMap(q)
+    C = q
     for _ in range(500):
         z = rng.standard_normal(4) * 3
         y = rng.standard_normal(4) * 3
@@ -135,7 +133,7 @@ def test_zero_resolvent_is_identity():
 
 def test_zero_resolvent_fbs_reduces_to_gradient_descent():
     # two hand-computed gradient steps on 0.5*||x||^2 with gamma = 0.1
-    prob = InclusionProblem(ZeroOperator(), GradientMap(quadratic_term(identity(1), np.zeros(1))))
+    prob = InclusionProblem(ZeroOperator(), quadratic_term(identity(1), np.zeros(1)))
     gamma = 0.1
     z = np.array([1.0])
     for expected in (0.9, 0.81):
@@ -164,7 +162,7 @@ def test_firm_nonexpansiveness_sampled(make_resolvent):
 
 
 def test_zero_map_and_smooth_term():
-    zm = ZeroMap()
+    zm = ZeroSmoothTerm()
     np.testing.assert_array_equal(zm.apply(np.ones(3)), np.zeros(3))
     zs = ZeroSmoothTerm(3)
     assert zs.value(np.ones(3)) == 0.0
@@ -178,4 +176,4 @@ def test_inclusion_problem_dimension_check():
     proj = AffineConstraint(LinearMap(m), m @ rng.standard_normal(5))
     q = quadratic_term(LinearMap(rng.standard_normal((3, 4))), rng.standard_normal(3))
     with pytest.raises(ValueError):
-        InclusionProblem(proj, GradientMap(q))
+        InclusionProblem(proj, q)

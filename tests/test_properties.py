@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fbsplit.linalg import LinearMap, inner
-from fbsplit.operators import AffineConstraint, GradientMap, prox_l1, quadratic_term
+from fbsplit.operators import AffineConstraint, prox_l1, quadratic_term
 
 # timing on a shared host is noisy, so no example has a deadline
 settings.register_profile("fbsplit", deadline=None, max_examples=60)
@@ -90,8 +90,8 @@ def test_affine_projection_is_firmly_nonexpansive(m, n, seed):
 @PROFILE
 @given(dims, dims, seeds)
 def test_quadratic_gradient_is_cocoercive_with_its_beta(p, n, seed):
-    C = GradientMap(quadratic_term(LinearMap(_gaussian(seed, (p, n))),
-                                   _gaussian(seed + 1, p)))
+    C = quadratic_term(LinearMap(_gaussian(seed, (p, n))),
+                       _gaussian(seed + 1, p))
     z, y = 10.0 * _gaussian(seed + 2, (2, n))
     dc = C.apply(z) - C.apply(y)
     slack = 1e-10 * max(1.0, inner(z - y, z - y))
