@@ -115,7 +115,7 @@ _BLOCK_FLOATS = 2**16  # of checkpoint states, measured together
 _EMIT_ROWS = 512  # records that emit formats and writes together
 
 
-@dataclass
+@dataclass(slots=True)
 class IterationRecord:
     """One metric row; NaN marks quantities a method does not define."""
 
@@ -290,13 +290,21 @@ class _Reference:
 
 
 def _load_reference(path, problem: PdProblem):
-    """The reference saved at ``path``, refused unless it is sized for ``problem``."""
+    """The reference saved at ``path``, refused unless it is sized for ``problem``
+    and saved with its fingerprint."""
     x_star, lam_star, objective, feasibility, converged = _load_arrays(
         path, "x_star", "lam_star", "objective", "feasibility", "converged")
     if x_star.shape != (problem.n,) or lam_star.shape != (problem.m,):
         raise ConfigurationError(
             f"{path} holds a reference of n={x_star.size}, m={lam_star.size}; "
             f"the instance has n={problem.n}, m={problem.m}")
+    with np.load(path) as data:
+        saved = str(data["fingerprint"]) if "fingerprint" in data else None
+    fingerprint = problem_fingerprint(problem)
+    if saved != fingerprint:
+        raise ConfigurationError(
+            f"{path} was saved with instance fingerprint {saved}; "
+            f"this instance's is {fingerprint}")
     return _Reference(x_star, lam_star, float(objective), float(feasibility),
                       bool(converged))
 
@@ -562,7 +570,10 @@ def run_grid(configs, jobs=1):
     """Build the instance and reference of ``configs[0]`` and check every run's
     steps against it, so a refused grid runs nothing; the iterator returned runs
     the lockstep groups (see :func:`run_experiment`) in turn or in ``jobs``
-    processes, and yields each group's (config, result) pairs as it finishes."""
+    processes, and yields each group's (config, result) pairs as it finishes.
+    It lets go of a group's results once it has yielded the last of them, before
+    the next group runs, so a caller that keeps no pair holds one group's records
+    at a time."""
     if jobs < 1:
         raise ConfigurationError(f"jobs must be at least 1, got {jobs}")
     problem = configs[0].build_problem()
@@ -585,9 +596,10 @@ def run_grid(configs, jobs=1):
             else:  # each worker is sent the instance and the reference once
                 pool = ProcessPoolExecutor(jobs, initializer=_share, initargs=(problem, reference))
                 results = stack.enter_context(pool).map(_run_shared, firsts, rests)
-            for group, group_results in zip(groups.values(), results):
-                yield from zip(group, group_results)
-                del group_results  # free the records before the next group runs
+            # not zip(groups, results): its reused tuple would keep the finished
+            # group's results alive while map runs the next group
+            for group in groups.values():
+                yield from zip(group, next(results))
 
     return run_groups()
 
@@ -642,8 +654,8 @@ def reference_solution(problem: PdProblem, budget=1_000_000, alpha=5.0,
 
     The reference carries a ``converged`` flag that is False when the
     final feasibility exceeds ``feas_tol``; the cache stores it along with
-    the feasibility.  An unconverged reference, computed or cached, is
-    returned with a RuntimeWarning.
+    the feasibility and the instance's fingerprint.  An unconverged
+    reference, computed or cached, is returned with a RuntimeWarning.
     """
     if budget < 100_000:
         raise ConfigurationError("reference budget must be at least 1e5 iterations")
@@ -651,7 +663,8 @@ def reference_solution(problem: PdProblem, budget=1_000_000, alpha=5.0,
     if cache_dir is not None:
         cache_dir = Path(cache_dir)
         cache_dir.mkdir(parents=True, exist_ok=True)
-        key = f"{problem_fingerprint(problem)}_a{alpha:g}_b{budget}"
+        fingerprint = problem_fingerprint(problem)
+        key = f"{fingerprint}_a{alpha:g}_b{budget}"
         cache_path = cache_dir / f"reference_{key}.npz"
     if cache_path is not None and cache_path.exists():
         ref = _load_reference(cache_path, problem)
@@ -667,7 +680,7 @@ def reference_solution(problem: PdProblem, budget=1_000_000, alpha=5.0,
             tmp = cache_path.with_suffix(".tmp.npz")
             np.savez(tmp, x_star=ref.x_star, lam_star=ref.lam_star,
                      objective=ref.objective, feasibility=feas,
-                     converged=ref.converged)
+                     converged=ref.converged, fingerprint=fingerprint)
             tmp.replace(cache_path)
     if not ref.converged:
         warnings.warn(

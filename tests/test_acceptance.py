@@ -228,13 +228,13 @@ def test_criterion_09_comparison_pattern():
     iters = 1_000_000 if full else 100_000
     t0 = time.perf_counter()
     problem = generate_problem(100, 500, 1000, seed=1)
-    runs = {}
-    for tag, config in [
-        ("pd5", ExperimentConfig(method="pd", alpha=5.0, iters=iters)),
-        ("pd10", ExperimentConfig(method="pd", alpha=10.0, iters=iters)),
-        ("flag", ExperimentConfig(method="flag", iters=iters)),
-    ]:
-        runs[tag] = by_k(run_experiment(config, problem=problem).records)[iters]
+    # pd5 and pd10 run as the rows of one lockstep block, each bit for bit its solo run
+    pd5, pd10 = run_experiment(ExperimentConfig(method="pd", alpha=5.0, iters=iters),
+                               problem=problem,
+                               lockstep=[ExperimentConfig(method="pd", alpha=10.0, iters=iters)])
+    flag = run_experiment(ExperimentConfig(method="flag", iters=iters), problem=problem)
+    runs = {tag: by_k(result.records)[iters]
+            for tag, result in [("pd5", pd5), ("pd10", pd10), ("flag", flag)]}
     elapsed = time.perf_counter() - t0
     objs = {t: runs[t].objective for t in runs}
     four_digits = all(

@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import json
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -495,6 +496,47 @@ def test_a_reference_of_another_size_is_refused_before_writing(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and str(ref) in err
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore:reference did not converge:RuntimeWarning")
+def test_a_reference_of_another_instance_is_refused_before_writing(tmp_path, capsys):
+    size = ["--m", "3", "--p", "4", "--n", "6"]
+    assert cli.main(["reference", *size, "--seed", "1", "--iters", "100000",
+                     "--out", str(tmp_path / "cache")]) == 0
+    ref, = (tmp_path / "cache").glob("reference_*.npz")
+    # the same arrays without the fingerprint, as an older reference solve saved them
+    unmarked = tmp_path / "unmarked.npz"
+    with np.load(ref) as data:
+        np.savez(unmarked, **{name: data[name] for name in data if name != "fingerprint"})
+    compare = ["compare", "--methods", "pd:5", *size, "--iters", "50"]
+    assert cli.main(compare + ["--seed", "1", "--reference", str(ref),
+                               "--out", str(tmp_path / "own")]) == 0
+    assert min(r.gap for r in bench.read_records_csv(tmp_path / "own" / "pd_a5.csv")) >= 0
+    capsys.readouterr()
+    for seed, path in [("9", ref), ("1", unmarked)]:
+        out = tmp_path / f"seed{seed}_{path.stem}"
+        code = cli.main(compare + ["--seed", seed, "--reference", str(path), "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and str(path) in err
+        assert not out.exists()
+
+
+def test_compare_holds_one_groups_results_at_a_time(monkeypatch, tmp_path):
+    # a weak reference to each result run_experiment returned, and how many of
+    # them were alive as each call started
+    run, returned, alive = bench.run_experiment, [], []
+
+    def spy(config, problem=None, reference=None, lockstep=None):
+        alive.append(sum(ref() is not None for ref in returned))
+        results = run(config, problem, reference, lockstep)
+        returned.extend(map(weakref.ref, results if lockstep is not None else [results]))
+        return results
+
+    monkeypatch.setattr(cli.bench, "run_experiment", spy)
+    assert cli.main(["compare", "--methods", "ffb,fbs,pd:3,flag", *_SWEEP,
+                     "--out", str(tmp_path)]) == 0
+    assert alive == [0, 0, 0, 0]
 
 
 def test_compare_sends_the_instance_to_each_worker_once(monkeypatch, tmp_path):

@@ -1,15 +1,21 @@
 """Property tests for the operator contracts that ``operators.py`` states:
 the adjoint identity, firm non-expansiveness of the resolvents, the
 cocoercivity modulus of the quadratic term's gradient, and the row-wise
-exactness of block application that lockstep runs rely on."""
+exactness of block application that lockstep runs rely on; and for the
+reading of the primal-dual step as fast forward-backward in a metric."""
+
+import dataclasses
+import operator
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from fbsplit.bench import generate_problem
 from fbsplit.linalg import LinearMap, inner
 from fbsplit.operators import AffineConstraint, prox_l1, quadratic_term
+from fbsplit.primal_dual import PdParams, pd_default_steps, pd_init, pd_step
 
 # timing on a shared host is noisy, so no example has a deadline
 settings.register_profile("fbsplit", deadline=None, max_examples=60)
@@ -96,3 +102,73 @@ def test_quadratic_gradient_is_cocoercive_with_its_beta(p, n, seed):
     dc = C.apply(z) - C.apply(y)
     slack = 1e-10 * max(1.0, inner(z - y, z - y))
     assert inner(dc, z - y) >= C.beta * inner(dc, dc) - slack
+
+
+@st.composite
+def pd_runs(draw):
+    """A random instance and the steps of one to four runs on it, each with
+    sigma = s * tau for s in [1/4, 1], which keeps pd's step condition."""
+    problem = generate_problem(draw(dims), draw(dims), draw(dims), draw(seeds))
+    runs = []
+    for alpha in draw(st.lists(st.floats(min_value=2.5, max_value=30.0),
+                               min_size=1, max_size=4)):
+        tau = pd_default_steps(alpha, problem).tau
+        runs.append(PdParams(alpha, tau, tau * draw(st.floats(min_value=0.25, max_value=1.0))))
+    return problem, runs
+
+
+def _lifted_pd_run(problem, params, state):
+    """Fast forward-backward with gamma = 1 on z = (x, lam) from pd's ``state``,
+    written independently of pd_step: each step is z+ = (P + M)^-1 (P y - C(z))
+    in the metric P = [[I/tau, -A^T], [-A, I/sigma]], for the saddle operator
+    M(x, lam) = (df(x) + A^T lam, b - A x) and C(x, lam) = (grad h(x), 0),
+    whose resolvent is x+ = prox_{tau f}(tau r_x), lam+ = sigma (r_lam + 2 A x+ - b).
+    Yields z+, the certificate xi+ = P(y - z+) - C(z), an element of M(z+), and
+    the norm of r = P y - C(z), from whose terms xi+ is computed."""
+    A, b, alpha, tau, sigma = problem.A.matrix, problem.b, *dataclasses.astuple(params)
+    m, n = A.shape
+    P = np.block([[np.eye(n) / tau, -A.T], [-A, np.eye(m) / sigma]])
+
+    def C(z):
+        return np.concatenate([problem.h.gradient(z[:n]), np.zeros(m)])
+
+    z_prev, z, y = (np.concatenate(pair) for pair in [
+        (state.x_prev, state.lam_prev), (state.x, state.lam), (state.v, state.dual_extrap)])
+    k = state.k
+    while True:
+        momentum, correction = 1 - alpha / (k + alpha), 1 - alpha / (2 * (k + alpha))
+        y = z + momentum * (z - z_prev) + correction * (y - z)
+        r = P @ y - C(z)
+        x_next = problem.f.resolvent(tau, tau * r[:n])
+        z_next = np.concatenate([x_next, sigma * (r[n:] + 2 * A @ x_next - b)])
+        yield z_next, P @ (y - z_next) - C(z), np.linalg.norm(r)
+        z_prev, z, k = z, z_next, k + 1
+
+
+def _close(lifted, parts, scale=None):
+    """Whether ``lifted`` equals the concatenated ``parts`` to 1e-12 relative to
+    ``scale``, by default their norm."""
+    expected = np.concatenate(parts)
+    if scale is None:
+        scale = np.linalg.norm(expected)
+    return np.linalg.norm(lifted - expected) <= 1e-12 * scale
+
+
+@settings(PROFILE, max_examples=20)
+@given(pd_runs())
+def test_pd_step_is_fast_forward_backward_in_the_metric_p(case):
+    # every run alone and as a row of one lockstep block, 200 steps from k = 1
+    problem, runs = case
+    fields = operator.attrgetter("x", "lam", "w", "ax")
+    block = PdParams(*np.array([dataclasses.astuple(r) for r in runs]).T[..., None])
+    solo = [pd_init(problem, r) for r in runs]
+    rows = pd_init(problem, block)
+    lifted = [_lifted_pd_run(problem, r, s) for r, s in zip(runs, solo)]
+    for _ in range(200):
+        solo = [pd_step(s, problem, r) for s, r in zip(solo, runs)]
+        rows = pd_step(rows, problem, block)
+        for i, (z, xi, r_norm) in enumerate(map(next, lifted)):
+            for x, lam, w, ax in (fields(solo[i]), [a[i] for a in fields(rows)]):
+                assert _close(z, [x, lam])
+                # near a solution xi is small against the terms it is the sum of
+                assert _close(xi, [w, problem.b - ax], r_norm)
