@@ -175,6 +175,10 @@ class ExperimentConfig:
             _check_alpha(self.alpha)
         if self.iters < 1:
             raise ConfigurationError("iteration budget must be >= 1")
+        # a list may reach past iters, which a flag can lower; [] records nothing
+        if self.checkpoints and not 1 <= min(self.checkpoints) <= self.iters:
+            raise ConfigurationError(
+                f"the first checkpoint must lie in 1..{self.iters}, got {min(self.checkpoints)}")
         if self.format not in ("csv", "json"):
             raise ConfigurationError(f"format must be csv or json, got {self.format!r}")
         return self

@@ -7,11 +7,14 @@ prox_{tau f}, grad h, A and its adjoint:
     v_k     = x_k + (1 - a/(k+a)) (x_k - x_{k-1}) + (1 - a/(2(k+a))) (v_{k-1} - x_k)
     eta_k   = same extrapolation on the dual iterates
     x_{k+1} = prox_{tau f}(v_k - tau A* eta_k - tau grad h(x_k))
-    l_{k+1} = eta_k + sigma (A x_{k+1} - b) + sigma A (x_{k+1} - v_k)
+    l_{k+1} = eta_k + sigma (2 A x_{k+1} - b - A v_k)
 
-with a > 2 and tau, sigma > 0 satisfying
-
-    1 < min(1/tau, 1/sigma) (1 - sqrt(tau sigma ||A||^2)) * 8(a-1) beta / (5a-2).
+This is fast forward-backward (:mod:`fbsplit.ffb`) with step 1 on z = (x, l)
+in the metric P = [[I/tau, -A*], [-A, I/sigma]], for M(x, l) = (df(x) + A* l,
+b - A x) and C(x, l) = (grad h(x), 0).  So with a > 2, tau, sigma > 0 and
+tau sigma ||A||^2 < 1 its step rule is ffb's, 1 < max_step_size(a, beta_P), at
+beta_P = beta min(1/tau, 1/sigma) (1 - sqrt(tau sigma ||A||^2)), a lower bound
+on the cocoercivity modulus of C in P.
 
 Along the run the certificate w_{k+1} = (v_k - x_{k+1})/tau
 + A*(l_{k+1} - eta_k) - grad h(x_k) satisfies
@@ -30,7 +33,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError
-from .ffb import _check_alpha, _check_finite, _extrapolate, _extrapolation_coefficients
+from .ffb import (_check_alpha, _check_finite, _extrapolate, _extrapolation_coefficients,
+                  max_step_size)
 from .linalg import LinearMap, as_vector, inner, norm, operator_norm
 from .operators import AffineConstraint, InclusionProblem, ResolventOperator, SmoothTerm
 
@@ -114,24 +118,18 @@ class PdParams:
             for row in zip(*(np.ravel(v) for v in (self.alpha, self.tau, self.sigma))):
                 PdParams(*row).validate(problem)
             return self
-        _check_alpha(self.alpha)
         if not (self.tau > 0 and self.sigma > 0):
             raise ConfigurationError("tau and sigma must be positive")
-        a2 = problem.a_norm**2
-        if not self.tau * self.sigma * a2 < 1:
+        ts_a2 = self.tau * self.sigma * problem.a_norm**2
+        if not ts_a2 < 1:
+            raise ConfigurationError(f"tau*sigma*||A||^2 = {ts_a2:.6g} must be < 1")
+        # the cocoercivity modulus of C = (grad h, 0) in the metric P
+        beta_p = problem.beta * min(1.0 / self.tau, 1.0 / self.sigma) * (1.0 - math.sqrt(ts_a2))
+        bound = max_step_size(self.alpha, beta_p)
+        if not 1 < bound:
             raise ConfigurationError(
-                f"tau*sigma*||A||^2 = {self.tau * self.sigma * a2:.6g} must be < 1"
-            )
-        lhs = (
-            min(1.0 / self.tau, 1.0 / self.sigma)
-            * (1.0 - math.sqrt(self.tau * self.sigma * a2))
-            * 8.0 * (self.alpha - 1.0) * problem.beta / (5.0 * self.alpha - 2.0)
-        )
-        if not lhs > 1:
-            raise ConfigurationError(
-                "step-size condition violated: "
-                f"min(1/tau,1/sigma)(1-sqrt(tau*sigma*||A||^2))*8(alpha-1)beta/(5alpha-2) "
-                f"= {lhs:.6g} must exceed 1"
+                f"step-size condition violated: max_step_size(alpha, beta_P) = {bound:.6g} "
+                "must exceed 1, with beta_P = beta*min(1/tau,1/sigma)(1-sqrt(tau*sigma*||A||^2))"
             )
         return self
 
@@ -139,8 +137,10 @@ class PdParams:
 def pd_default_steps(alpha, problem: PdProblem):
     """tau = sigma = 0.99*beta / (beta*||A|| + 1 - 0.99*3(alpha-2)/(8(alpha-1))).
 
-    The formula keeps the step-size condition strictly satisfied for every
-    alpha > 2; written in a form that stays finite when beta is +inf.
+    pd's step rule, 1 < max_step_size(alpha, beta_P) with beta_P =
+    beta*min(1/tau, 1/sigma)(1 - sqrt(tau*sigma*||A||^2)), reads at tau = sigma
+    1/tau > ||A|| + (5alpha-2)/(8(alpha-1)beta); the formula keeps it strictly
+    for every alpha > 2, in a form that stays finite when beta is +inf.
     """
     _check_alpha(alpha)
     margin = 1.0 - 0.99 * 3.0 * (alpha - 2.0) / (8.0 * (alpha - 1.0))
@@ -175,6 +175,24 @@ class PdState:
     ax: np.ndarray
 
 
+def _advance(state, problem: PdProblem, params: PdParams, x, lam, v, eta, g):
+    """The state after ``state`` (None before k=1) from x_k, lam_k, the
+    extrapolated v_k, eta_k and g = grad h(x_k): x_{k+1} and l_{k+1} as in the
+    module docstring, w_{k+1}, grad h(x_{k+1}) and A x_{k+1}."""
+    tau, sigma = params.tau, params.sigma
+    u = v - tau * problem.A.adjoint_apply(eta) - tau * g
+    _check_finite(state, u)
+    x_next = problem.f.resolvent(tau, u)
+    ax_next = problem.A.apply(x_next)
+    lam_next = eta + sigma * (2.0 * ax_next - problem.b - problem.A.apply(v))
+    w_next = (v - x_next) / tau + problem.A.adjoint_apply(lam_next - eta) - g
+    _check_finite(state, lam_next, w_next)
+    k = 1 if state is None else state.k + 1
+    return PdState(k=k, x_prev=x, x=x_next, lam_prev=lam, lam=lam_next, v=v,
+                   dual_extrap=eta, w=w_next, grad_prev=g,
+                   grad=problem.h.gradient(x_next), ax=ax_next)
+
+
 def pd_init(problem: PdProblem, params: PdParams, x0=None, v0=None,
             lam0=None, eta0=None):
     """State at k=1 from starting points (defaults all zero).
@@ -191,41 +209,17 @@ def pd_init(problem: PdProblem, params: PdParams, x0=None, v0=None,
     v0 = x0.copy() if v0 is None else as_vector(v0, dim=n, name="v0")
     lam0 = np.zeros(rows + (m,)) if lam0 is None else as_vector(lam0, dim=m, name="lam0")
     eta0 = lam0.copy() if eta0 is None else as_vector(eta0, dim=m, name="eta0")
-    tau, sigma = params.tau, params.sigma
-    g0 = problem.h.gradient(x0)
-    u = v0 - tau * problem.A.adjoint_apply(eta0) - tau * g0
-    _check_finite(None, u)
-    x1 = problem.f.resolvent(tau, u)
-    ax1 = problem.A.apply(x1)
-    lam1 = eta0 + sigma * (ax1 - problem.b) + sigma * (ax1 - problem.A.apply(v0))
-    w1 = (v0 - x1) / tau + problem.A.adjoint_apply(lam1 - eta0) - g0
-    _check_finite(None, lam1, w1)
-    return PdState(k=1, x_prev=x0, x=x1, lam_prev=lam0, lam=lam1, v=v0, dual_extrap=eta0,
-                   w=w1, grad_prev=g0, grad=problem.h.gradient(x1), ax=ax1)
+    return _advance(None, problem, params, x0, lam0, v0, eta0, problem.h.gradient(x0))
 
 
 def pd_step(state: PdState, problem: PdProblem, params: PdParams):
     """One iteration of the four-line update."""
-    k, alpha, tau, sigma = state.k, params.alpha, params.tau, params.sigma
-    m_c, c_c = _extrapolation_coefficients(alpha, k)
     if state.v is None or state.dual_extrap is None:
-        raise ConfigurationError(
-            "state lacks extrapolation points; it was produced by the "
-            "alternative stepper"
-        )
+        raise ConfigurationError("pd_step_alternative's states lack extrapolation points")
+    m_c, c_c = _extrapolation_coefficients(params.alpha, state.k)
     v_k = _extrapolate(state.x, state.x_prev, state.v, m_c, c_c)
     eta_k = _extrapolate(state.lam, state.lam_prev, state.dual_extrap, m_c, c_c)
-    g_k = state.grad
-    u = v_k - tau * problem.A.adjoint_apply(eta_k) - tau * g_k
-    _check_finite(state, u)
-    x_next = problem.f.resolvent(tau, u)
-    ax_next = problem.A.apply(x_next)
-    lam_next = eta_k + sigma * (2.0 * ax_next - problem.b - problem.A.apply(v_k))
-    w_next = (v_k - x_next) / tau + problem.A.adjoint_apply(lam_next - eta_k) - g_k
-    _check_finite(state, lam_next, w_next)
-    return PdState(k=k + 1, x_prev=state.x, x=x_next, lam_prev=state.lam, lam=lam_next,
-                   v=v_k, dual_extrap=eta_k, w=w_next, grad_prev=g_k,
-                   grad=problem.h.gradient(x_next), ax=ax_next)
+    return _advance(state, problem, params, state.x, state.lam, v_k, eta_k, state.grad)
 
 
 def pd_step_alternative(state: PdState, problem: PdProblem, params: PdParams):
@@ -265,7 +259,8 @@ def pd_step_alternative(state: PdState, problem: PdProblem, params: PdParams):
 
 
 def pd_zeta(state: PdState, problem: PdProblem, params: PdParams):
-    """Dual certificate from the extrapolation points and the carried A x_k; equals b - A x_k."""
+    """xi_k's lambda-component, xi_k = P(y_{k-1} - z_k) - C(z_{k-1}) in M(z_k),
+    from the extrapolation points and the carried A x_k; equals b - A x_k."""
     if state.v is None or state.dual_extrap is None:
         raise ConfigurationError("zeta needs the extrapolation points")
     return (
@@ -277,9 +272,9 @@ def pd_zeta(state: PdState, problem: PdProblem, params: PdParams):
 
 
 def certificate_residual(state: PdState, problem: PdProblem):
-    """Norm of (w_k + grad h(x_k), b - A x_k); vanishes at optimality.
-    grad h(x_k) and A x_k are the images the state carries.  Stacked rows
-    get one each, by ``math.hypot``, which ``np.hypot`` does not match."""
+    """The lifted tangent residual ||xi_k + C(z_k)||: the norm of (w_k + grad h(x_k),
+    b - A x_k), which vanishes at optimality, from the images the state carries.
+    Stacked rows get one each, by ``math.hypot``; ``np.hypot`` does not match."""
     hypot = np.frompyfunc(math.hypot, 2, 1)
     return hypot(norm(state.w + state.grad), norm(problem.b - state.ax))
 

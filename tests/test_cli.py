@@ -699,6 +699,35 @@ def test_config_value_of_wrong_type_is_config_error(tmp_path, capsys, command, v
     assert "configuration error:" in capsys.readouterr().err
 
 
+def _run_with_checkpoints(tmp_path, command, checkpoints):
+    """``command`` at --iters 100 with the file's ``checkpoints``: solve
+    writes run.csv, and compare the directory out with pd_a5.csv."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"checkpoints": checkpoints}))
+    out, steps = {"solve": ("run.csv", ["--method", "pd"]),
+                  "compare": ("out", ["--methods", "pd:5"])}[command]
+    return cli.main([command, "--config", str(cfg), *steps, "--m", "3", "--p", "4",
+                     "--n", "6", "--iters", "100", "--out", str(tmp_path / out)])
+
+
+@pytest.mark.parametrize("command", ["solve", "compare"])
+@pytest.mark.parametrize("checkpoints", [[0, 500], [-3, 50], [500], [101, 200]])
+def test_unreachable_checkpoints_are_config_error(tmp_path, capsys, command, checkpoints):
+    # a run would spend its budget and write a header-only file
+    assert _run_with_checkpoints(tmp_path, command, checkpoints) == cli.EXIT_CONFIG
+    assert ("configuration error: the first checkpoint must lie in 1..100"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "run.csv").exists() and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "compare"])
+def test_checkpoints_may_reach_past_iters(tmp_path, command):
+    # --iters wins over the file, so the file's list may outrun the budget
+    assert _run_with_checkpoints(tmp_path, command, [50, 500]) == cli.EXIT_OK
+    csv = tmp_path / ("run.csv" if command == "solve" else "out/pd_a5.csv")
+    assert [r.k for r in bench.read_records_csv(csv)] == [50]
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_compare_rejects_jobs_below_one(tmp_path, capsys, jobs):
     code = cli.main(["compare", "--methods", "pd:5", "--m", "3", "--p", "4", "--n", "6",

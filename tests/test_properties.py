@@ -5,14 +5,17 @@ exactness of block application that lockstep runs rely on; and for the
 reading of the primal-dual step as fast forward-backward in a metric."""
 
 import dataclasses
+import math
 import operator
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fbsplit.bench import generate_problem
+from fbsplit.errors import ConfigurationError
 from fbsplit.linalg import LinearMap, inner
 from fbsplit.operators import AffineConstraint, prox_l1, quadratic_term
 from fbsplit.primal_dual import PdParams, pd_default_steps, pd_init, pd_step
@@ -123,8 +126,11 @@ def _lifted_pd_run(problem, params, state):
     in the metric P = [[I/tau, -A^T], [-A, I/sigma]], for the saddle operator
     M(x, lam) = (df(x) + A^T lam, b - A x) and C(x, lam) = (grad h(x), 0),
     whose resolvent is x+ = prox_{tau f}(tau r_x), lam+ = sigma (r_lam + 2 A x+ - b).
-    Yields z+, the certificate xi+ = P(y - z+) - C(z), an element of M(z+), and
-    the norm of r = P y - C(z), from whose terms xi+ is computed."""
+    ``state`` may instead be pd's starting points (x0, lam0, v0, eta0): then
+    z0 = (x0, lam0), the first step takes y0 = (v0, eta0) as it is, and the run
+    starts at k = 1.  Yields z+, the certificate xi+ = P(y - z+) - C(z), an
+    element of M(z+), and the norm of r = P y - C(z), from whose terms xi+ is
+    computed."""
     A, b, alpha, tau, sigma = problem.A.matrix, problem.b, *dataclasses.astuple(params)
     m, n = A.shape
     P = np.block([[np.eye(n) / tau, -A.T], [-A, np.eye(m) / sigma]])
@@ -132,12 +138,17 @@ def _lifted_pd_run(problem, params, state):
     def C(z):
         return np.concatenate([problem.h.gradient(z[:n]), np.zeros(m)])
 
-    z_prev, z, y = (np.concatenate(pair) for pair in [
-        (state.x_prev, state.lam_prev), (state.x, state.lam), (state.v, state.dual_extrap)])
-    k = state.k
+    if isinstance(state, tuple):
+        x0, lam0, v0, eta0 = state
+        z_prev, z, y, k = None, np.concatenate([x0, lam0]), np.concatenate([v0, eta0]), 0
+    else:
+        z_prev, z, y = (np.concatenate(pair) for pair in [
+            (state.x_prev, state.lam_prev), (state.x, state.lam), (state.v, state.dual_extrap)])
+        k = state.k
     while True:
-        momentum, correction = 1 - alpha / (k + alpha), 1 - alpha / (2 * (k + alpha))
-        y = z + momentum * (z - z_prev) + correction * (y - z)
+        if k:
+            momentum, correction = 1 - alpha / (k + alpha), 1 - alpha / (2 * (k + alpha))
+            y = z + momentum * (z - z_prev) + correction * (y - z)
         r = P @ y - C(z)
         x_next = problem.f.resolvent(tau, tau * r[:n])
         z_next = np.concatenate([x_next, sigma * (r[n:] + 2 * A @ x_next - b)])
@@ -172,3 +183,62 @@ def test_pd_step_is_fast_forward_backward_in_the_metric_p(case):
                 assert _close(z, [x, lam])
                 # near a solution xi is small against the terms it is the sum of
                 assert _close(xi, [w, problem.b - ax], r_norm)
+
+
+@settings(PROFILE, max_examples=20)
+@given(pd_runs(), seeds)
+def test_pd_init_is_the_first_lifted_step(case, seed):
+    # from drawn starting points with v0 != x0 and eta0 != lam0, every run
+    # alone and as a row of one lockstep block: the state at k = 1, then 20 steps
+    problem, runs = case
+    n, m = problem.n, problem.m
+    x0, lam0, v0, eta0 = np.split(_gaussian(seed, 2 * (n + m)), np.cumsum([n, m, n]))
+    fields = operator.attrgetter("x", "lam", "w", "ax")
+    block = PdParams(*np.array([dataclasses.astuple(r) for r in runs]).T[..., None])
+    solo = [pd_init(problem, r, x0, v0, lam0, eta0) for r in runs]
+    rows = pd_init(problem, block, x0, v0, lam0, eta0)
+    lifted = [_lifted_pd_run(problem, r, (x0, lam0, v0, eta0)) for r in runs]
+    for _ in range(21):
+        for i, (z, xi, r_norm) in enumerate(map(next, lifted)):
+            for x, lam, w, ax in (fields(solo[i]), [a[i] for a in fields(rows)]):
+                assert _close(z, [x, lam])
+                assert _close(xi, [w, problem.b - ax], r_norm)
+        solo = [pd_step(s, problem, r) for s, r in zip(solo, runs)]
+        rows = pd_step(rows, problem, block)
+
+
+def _old_step_rule(problem, alpha, tau, sigma):
+    """Whether the hand-expanded bound that pd checked before it read ffb's
+    max_step_size holds; None within 1e-9 of either of its boundaries."""
+    ts_a2 = tau * sigma * problem.a_norm**2
+    if abs(ts_a2 - 1) <= 1e-9:
+        return None
+    if ts_a2 > 1:
+        return False
+    lhs = (min(1 / tau, 1 / sigma) * (1 - math.sqrt(ts_a2))
+           * 8 * (alpha - 1) * problem.beta / (5 * alpha - 2))
+    return None if abs(lhs - 1) <= 1e-9 else lhs > 1
+
+
+@PROFILE
+@given(dims, dims, dims, seeds, st.lists(st.tuples(
+    st.floats(min_value=2.0, max_value=50.0, exclude_min=True),
+    st.floats(min_value=-3.0, max_value=3.0), st.floats(min_value=-3.0, max_value=3.0)),
+    min_size=1, max_size=4))
+def test_pd_step_rule_is_max_step_size_in_the_metric_p(m, p, n, seed, draws):
+    # every run alone and as a row of one block; tau spreads around pd's
+    # default step, and sigma around tau
+    problem = generate_problem(m, p, n, seed)
+    runs = []
+    for alpha, log_t, log_s in draws:
+        tau = pd_default_steps(alpha, problem).tau * math.exp(log_t)
+        runs.append(PdParams(alpha, tau, tau * math.exp(log_s)))
+    accepted = [_old_step_rule(problem, *dataclasses.astuple(r)) for r in runs]
+    assume(None not in accepted)
+    block = PdParams(*np.array([dataclasses.astuple(r) for r in runs]).T[..., None])
+    for params, accept in [*zip(runs, accepted), (block, all(accepted))]:
+        if accept:
+            assert params.validate(problem) is params
+        else:
+            with pytest.raises(ConfigurationError):
+                params.validate(problem)
