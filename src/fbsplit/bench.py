@@ -25,7 +25,6 @@ import math
 import operator
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
@@ -598,6 +597,8 @@ def run_grid(configs, jobs=1):
             if jobs == 1:
                 results = map(run_experiment, firsts, repeat(problem), repeat(reference), rests)
             else:  # each worker is sent the instance and the reference once
+                from concurrent.futures import ProcessPoolExecutor  # 1.9 MB of RSS, so only here
+
                 pool = ProcessPoolExecutor(jobs, initializer=_share, initargs=(problem, reference))
                 results = stack.enter_context(pool).map(_run_shared, firsts, rests)
             # not zip(groups, results): its reused tuple would keep the finished

@@ -164,10 +164,11 @@ class ZeroSmoothTerm(SmoothTerm):
 def quadratic_term(B: LinearMap, c):
     """Build the quadratic term 0.5*||Bx-c||^2 with an estimated safe modulus.
 
-    beta = 0.999 / ||B||^2 with the norm from Golub-Kahan bidiagonalization.
-    That estimate still approaches ||B|| from below and stops on a relative
-    change, so it can read low by about 1e-12; the shrink keeps step-size
-    rules strictly inside their admissible ranges all the same.
+    beta = 0.999 / ||B||^2 with the norm from ``operator_norm``.  It is exact
+    to roundoff when B's short side is at most ``GRAM_MAX_SIDE``; above that
+    Golub-Kahan approaches ||B|| from below and stops on a relative change,
+    so it can read low by up to about 1e-11.  The shrink keeps step-size rules
+    strictly inside their admissible ranges all the same.
     """
     n = operator_norm(B)
     beta = math.inf if n == 0.0 else 0.999 / (n * n)

@@ -89,6 +89,8 @@ class PdProblem:
 
     @cached_property
     def a_norm(self):
+        """||A|| by ``operator_norm``: exact to roundoff when A's short side is
+        at most ``GRAM_MAX_SIDE``, a Golub-Kahan estimate from below above it."""
         return operator_norm(self.A)
 
     @cached_property

@@ -3,6 +3,8 @@ import dataclasses
 import itertools
 import json
 import math
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
@@ -126,6 +128,16 @@ def test_compare_parallel_jobs_match_serial(tmp_path):
     assert cli.main(args + ["--out", str(parallel), "--jobs", "2"]) == 0
     for path in sorted(serial.iterdir()):
         assert (parallel / path.name).read_bytes() == path.read_bytes()
+
+
+def test_importing_the_cli_leaves_the_process_pool_unimported():
+    # the pool costs every process 1.9 MB of RSS; only --jobs > 1 may import it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import fbsplit.cli; "
+            "print('concurrent.futures' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_compare_byte_identical_across_invocations(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fbsplit.linalg import LinearMap, as_vector, identity, inner, operator_norm
+from fbsplit.linalg import GRAM_MAX_SIDE, LinearMap, as_vector, identity, inner, operator_norm
 
 
 def test_inner_examples():
@@ -68,9 +68,13 @@ def test_operator_norm_bounds_rayleigh_quotients():
         assert est >= np.linalg.norm(A.apply(v)) - 1e-10 * est
 
 
+# a short side past the cutoff, where max_iter and seed steer Golub-Kahan
+_GK_SIDE = GRAM_MAX_SIDE + 1
+
+
 def test_operator_norm_nonconvergence_warns():
     rng = np.random.default_rng(5)
-    A = LinearMap(rng.standard_normal((6, 6)))
+    A = LinearMap(rng.standard_normal((_GK_SIDE, _GK_SIDE)))
     with pytest.warns(RuntimeWarning):
         est = operator_norm(A, tol=1e-15, max_iter=2)
     assert est > 0
@@ -78,13 +82,13 @@ def test_operator_norm_nonconvergence_warns():
 
 def test_operator_norm_seed_reproducible():
     rng = np.random.default_rng(9)
-    A = LinearMap(rng.standard_normal((4, 4)))
+    A = LinearMap(rng.standard_normal((_GK_SIDE, _GK_SIDE)))
     assert operator_norm(A, seed=123) == operator_norm(A, seed=123)
 
 
 def _oracle_cases():
     rng = np.random.default_rng(11)
-    return {
+    cases = {
         "1xn": rng.standard_normal((1, 40)),
         "nx1": rng.standard_normal((40, 1)),
         "wide": rng.standard_normal((30, 80)),
@@ -94,12 +98,18 @@ def _oracle_cases():
         "zero": np.zeros((7, 5)),
         "diagonal": np.diag([5.0, 4.9999, 3.0, 2.0, 0.5, 0.1]),
     }
+    for s in (GRAM_MAX_SIDE, _GK_SIDE):  # the last eigensolve, the first Golub-Kahan
+        cases[f"wide-{s}"] = rng.standard_normal((s, 2 * s))
+        cases[f"tall-{s}"] = rng.standard_normal((3 * s, s))
+        cases[f"rank-5-{s}"] = rng.standard_normal((s, 5)) @ rng.standard_normal((5, 2 * s))
+    return cases
 
 
 @pytest.mark.parametrize("name", list(_oracle_cases()))
 def test_operator_norm_exact_to_roundoff(name):
-    # Golub-Kahan bidiagonalization converges to the top singular value
-    # from below: within 1e-12 of the SVD, never above it past roundoff
+    # the Gram eigensolve is exact to roundoff, and Golub-Kahan
+    # bidiagonalization converges to the top singular value from below:
+    # either is within 1e-12 of the SVD, never above it past roundoff
     m = _oracle_cases()[name]
     oracle = np.linalg.svd(m, compute_uv=False)[0]
     for seed in range(5):
@@ -120,6 +130,19 @@ class _CountingMap(LinearMap):
     def adjoint_apply(self, u):
         self.products += 1
         return super().adjoint_apply(u)
+
+
+@pytest.mark.parametrize("shape,eigensolve", [
+    ((20, 100), True), ((50, 100), True), ((100, 1000), True),
+    ((GRAM_MAX_SIDE, 2 * GRAM_MAX_SIDE), True),
+    ((_GK_SIDE, 2 * _GK_SIDE), False), ((3 * _GK_SIDE, _GK_SIDE), False),
+])
+def test_operator_norm_path_follows_the_short_side(shape, eigensolve):
+    # the eigensolve reads the matrix and makes no LinearMap product;
+    # Golub-Kahan makes one with A and one with its adjoint per step
+    A = _CountingMap(np.random.default_rng(2).standard_normal(shape))
+    operator_norm(A)
+    assert A.products == 0 if eigensolve else A.products >= 2
 
 
 def test_operator_norm_products_on_the_large_quadratic():
