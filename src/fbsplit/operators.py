@@ -42,7 +42,7 @@ def prox_l1(v, t):
     v = np.asarray(v, dtype=float)
     if not np.isfinite(v).all():
         raise ValueError("prox_l1 input contains non-finite entries")
-    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+    return v - np.minimum(np.maximum(v, -t), t)
 
 
 class ResolventOperator:

@@ -661,11 +661,12 @@ class _ProductCounter:
     ("lorenz_pock", 6, "baseline_step", 4),
     ("relaxed_inertial", 6, "baseline_step", 4),
     ("pd", 1, "pd_step", 6),
+    ("pd_alt", 1, "pd_step_alternative", 7),
 ])
 def test_checkpoint_and_step_products(monkeypatch, method, measure_products, step_name,
                                       step_products):
     counter = _ProductCounter(monkeypatch)
-    runner = bench._PdDriver if method == "pd" else bench._InclusionDriver
+    runner = bench._PdDriver if method in ("pd", "pd_alt") else bench._InclusionDriver
     measures = counter.per_call(monkeypatch, runner, "measure")
     steps = counter.per_call(monkeypatch, bench, step_name)
     # a measure call makes one stacked product per operator, whether its

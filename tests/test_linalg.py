@@ -61,29 +61,21 @@ def test_operator_norm_matches_svd_oracle():
 def test_operator_norm_bounds_rayleigh_quotients():
     rng = np.random.default_rng(3)
     A = LinearMap(rng.standard_normal((8, 5)))
-    est = operator_norm(A, tol=1e-10)
+    est = operator_norm(A)
     for _ in range(50):
         v = rng.standard_normal(5)
         v /= np.linalg.norm(v)
         assert est >= np.linalg.norm(A.apply(v)) - 1e-10 * est
 
 
-# a short side past the cutoff, where max_iter and seed steer Golub-Kahan
+# a short side past the cutoff, where Golub-Kahan runs from a fixed start vector
 _GK_SIDE = GRAM_MAX_SIDE + 1
-
-
-def test_operator_norm_nonconvergence_warns():
-    rng = np.random.default_rng(5)
-    A = LinearMap(rng.standard_normal((_GK_SIDE, _GK_SIDE)))
-    with pytest.warns(RuntimeWarning):
-        est = operator_norm(A, tol=1e-15, max_iter=2)
-    assert est > 0
 
 
 def test_operator_norm_seed_reproducible():
     rng = np.random.default_rng(9)
     A = LinearMap(rng.standard_normal((_GK_SIDE, _GK_SIDE)))
-    assert operator_norm(A, seed=123) == operator_norm(A, seed=123)
+    assert operator_norm(A) == operator_norm(A)
 
 
 def _oracle_cases():
@@ -109,11 +101,16 @@ def _oracle_cases():
 def test_operator_norm_exact_to_roundoff(name):
     # the Gram eigensolve is exact to roundoff, and Golub-Kahan
     # bidiagonalization converges to the top singular value from below:
-    # either is within 1e-12 of the SVD, never above it past roundoff
+    # either is within 1e-12 of the SVD, never above it past roundoff.
+    # Golub-Kahan's start vector is fixed, so rotating the matrix by an
+    # orthogonal q rotates the start direction: five q, five directions
     m = _oracle_cases()[name]
-    oracle = np.linalg.svd(m, compute_uv=False)[0]
-    for seed in range(5):
-        est = operator_norm(LinearMap(m), seed=seed)
+    rng = np.random.default_rng(13)
+    for _ in range(5):
+        q, _r = np.linalg.qr(rng.standard_normal((m.shape[1], m.shape[1])))
+        mq = m @ q
+        oracle = np.linalg.svd(mq, compute_uv=False)[0]
+        est = operator_norm(LinearMap(mq))
         assert abs(est - oracle) <= 1e-12 * oracle
         assert est <= oracle * (1.0 + 1e-14)
 

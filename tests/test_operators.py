@@ -43,6 +43,8 @@ def test_prox_l1_rejects_bad_input():
         prox_l1(np.ones(2), 0.0)
     with pytest.raises(ValueError):
         prox_l1(np.array([np.nan]), 1.0)
+    with pytest.raises(ValueError):
+        prox_l1(np.ones((2, 3)), np.array([[1.0], [0.0]]))
 
 
 def test_quadratic_term_identity_cases():

@@ -2,7 +2,7 @@
 the adjoint identity, firm non-expansiveness of the resolvents, the
 cocoercivity modulus of the quadratic term's gradient, and the row-wise
 exactness of block application that lockstep runs rely on; and for the
-reading of the primal-dual step as fast forward-backward in a metric."""
+reading of both primal-dual steps as fast forward-backward in a metric."""
 
 import dataclasses
 import math
@@ -18,7 +18,8 @@ from fbsplit.bench import generate_problem
 from fbsplit.errors import ConfigurationError
 from fbsplit.linalg import LinearMap, inner
 from fbsplit.operators import AffineConstraint, prox_l1, quadratic_term
-from fbsplit.primal_dual import PdParams, pd_default_steps, pd_init, pd_step
+from fbsplit.primal_dual import (PdParams, pd_default_steps, pd_init, pd_step,
+                                 pd_step_alternative)
 
 # timing on a shared host is noisy, so no example has a deadline
 settings.register_profile("fbsplit", deadline=None, max_examples=60)
@@ -120,24 +121,36 @@ def pd_runs(draw):
     return problem, runs
 
 
-def _lifted_pd_run(problem, params, state):
-    """Fast forward-backward with gamma = 1 on z = (x, lam) from pd's ``state``,
-    written independently of pd_step: each step is z+ = (P + M)^-1 (P y - C(z))
-    in the metric P = [[I/tau, -A^T], [-A, I/sigma]], for the saddle operator
-    M(x, lam) = (df(x) + A^T lam, b - A x) and C(x, lam) = (grad h(x), 0),
-    whose resolvent is x+ = prox_{tau f}(tau r_x), lam+ = sigma (r_lam + 2 A x+ - b).
-    ``state`` may instead be pd's starting points (x0, lam0, v0, eta0): then
-    z0 = (x0, lam0), the first step takes y0 = (v0, eta0) as it is, and the run
-    starts at k = 1.  Yields z+, the certificate xi+ = P(y - z+) - C(z), an
-    element of M(z+), and the norm of r = P y - C(z), from whose terms xi+ is
-    computed."""
-    A, b, alpha, tau, sigma = problem.A.matrix, problem.b, *dataclasses.astuple(params)
+def _lifted_saddle(problem, params):
+    """The metric P = [[I/tau, -A^T], [-A, I/sigma]] as a dense matrix, the
+    map C(x, lam) = (grad h(x), 0) and the resolvent r -> (P + M)^-1 r of the
+    saddle operator M(x, lam) = (df(x) + A^T lam, b - A x), which is
+    x+ = prox_{tau f}(tau r_x), lam+ = sigma (r_lam + 2 A x+ - b); written
+    independently of primal_dual."""
+    A, b, tau, sigma = problem.A.matrix, problem.b, params.tau, params.sigma
     m, n = A.shape
     P = np.block([[np.eye(n) / tau, -A.T], [-A, np.eye(m) / sigma]])
 
     def C(z):
         return np.concatenate([problem.h.gradient(z[:n]), np.zeros(m)])
 
+    def resolvent(r):
+        x_next = problem.f.resolvent(tau, tau * r[:n])
+        return np.concatenate([x_next, sigma * (r[n:] + 2 * A @ x_next - b)])
+
+    return P, C, resolvent
+
+
+def _lifted_pd_run(problem, params, state):
+    """Fast forward-backward with gamma = 1 on z = (x, lam) from pd's ``state``:
+    each step is z+ = (P + M)^-1 (P y - C(z)) in the metric P of
+    ``_lifted_saddle``.  ``state`` may instead be pd's starting points
+    (x0, lam0, v0, eta0): then z0 = (x0, lam0), the first step takes
+    y0 = (v0, eta0) as it is, and the run starts at k = 1.  Yields z+, the
+    certificate xi+ = P(y - z+) - C(z), an element of M(z+), and the norm of
+    r = P y - C(z), from whose terms xi+ is computed."""
+    P, C, resolvent = _lifted_saddle(problem, params)
+    alpha = params.alpha
     if isinstance(state, tuple):
         x0, lam0, v0, eta0 = state
         z_prev, z, y, k = None, np.concatenate([x0, lam0]), np.concatenate([v0, eta0]), 0
@@ -150,9 +163,29 @@ def _lifted_pd_run(problem, params, state):
             momentum, correction = 1 - alpha / (k + alpha), 1 - alpha / (2 * (k + alpha))
             y = z + momentum * (z - z_prev) + correction * (y - z)
         r = P @ y - C(z)
-        x_next = problem.f.resolvent(tau, tau * r[:n])
-        z_next = np.concatenate([x_next, sigma * (r[n:] + 2 * A @ x_next - b)])
+        z_next = resolvent(r)
         yield z_next, P @ (y - z_next) - C(z), np.linalg.norm(r)
+        z_prev, z, k = z, z_next, k + 1
+
+
+def _lifted_certificate_run(problem, params, state):
+    """ffb's certificate form with gamma = 1 on z = (x, lam) from pd's
+    ``state``, in the metric P of ``_lifted_saddle``: with
+    t = xi_k + C(z_{k-1}) and xi_k = (w_k, b - A x_k), each step is
+    z+ = (P + M)^-1 r for r = P(z_k + m_k dz) + c_k t - C(z_k), and
+    xi+ = r - P z+.  Yields z+, xi+ and the norm of r."""
+    P, C, resolvent = _lifted_saddle(problem, params)
+    alpha = params.alpha
+    z_prev = np.concatenate([state.x_prev, state.lam_prev])
+    z = np.concatenate([state.x, state.lam])
+    xi = np.concatenate([state.w, problem.b - problem.A.matrix @ state.x])
+    k = state.k
+    while True:
+        momentum, correction = 1 - alpha / (k + alpha), 1 - alpha / (2 * (k + alpha))
+        r = P @ (z + momentum * (z - z_prev)) + correction * (xi + C(z_prev)) - C(z)
+        z_next = resolvent(r)
+        xi = r - P @ z_next
+        yield z_next, xi, np.linalg.norm(r)
         z_prev, z, k = z, z_next, k + 1
 
 
@@ -165,24 +198,37 @@ def _close(lifted, parts, scale=None):
     return np.linalg.norm(lifted - expected) <= 1e-12 * scale
 
 
-@settings(PROFILE, max_examples=20)
-@given(pd_runs())
-def test_pd_step_is_fast_forward_backward_in_the_metric_p(case):
-    # every run alone and as a row of one lockstep block, 200 steps from k = 1
+def _steps_follow_the_lifted_run(case, step, lifted_run):
+    """Every run of ``case`` alone and as a row of one lockstep block, 200
+    steps of ``step`` from k = 1, against ``lifted_run`` from the same state."""
     problem, runs = case
     fields = operator.attrgetter("x", "lam", "w", "ax")
     block = PdParams(*np.array([dataclasses.astuple(r) for r in runs]).T[..., None])
     solo = [pd_init(problem, r) for r in runs]
     rows = pd_init(problem, block)
-    lifted = [_lifted_pd_run(problem, r, s) for r, s in zip(runs, solo)]
+    lifted = [lifted_run(problem, r, s) for r, s in zip(runs, solo)]
     for _ in range(200):
-        solo = [pd_step(s, problem, r) for s, r in zip(solo, runs)]
-        rows = pd_step(rows, problem, block)
+        solo = [step(s, problem, r) for s, r in zip(solo, runs)]
+        rows = step(rows, problem, block)
         for i, (z, xi, r_norm) in enumerate(map(next, lifted)):
             for x, lam, w, ax in (fields(solo[i]), [a[i] for a in fields(rows)]):
                 assert _close(z, [x, lam])
                 # near a solution xi is small against the terms it is the sum of
                 assert _close(xi, [w, problem.b - ax], r_norm)
+
+
+@settings(PROFILE, max_examples=20)
+@given(pd_runs())
+def test_pd_step_is_fast_forward_backward_in_the_metric_p(case):
+    _steps_follow_the_lifted_run(case, pd_step, _lifted_pd_run)
+
+
+@settings(PROFILE, max_examples=20)
+@given(pd_runs())
+def test_pd_step_alternative_is_the_certificate_form_in_the_metric_p(case):
+    # criterion 1 for the primal-dual pair: pd_step_alternative is ffb_step_xi
+    # read in the metric P, as pd_step is ffb_step_y
+    _steps_follow_the_lifted_run(case, pd_step_alternative, _lifted_certificate_run)
 
 
 @settings(PROFILE, max_examples=20)
