@@ -25,8 +25,9 @@ import math
 import operator
 import time
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import groupby, repeat
 from pathlib import Path
 from typing import Optional
 
@@ -73,6 +74,7 @@ __all__ = [
     "METHODS",
     "STEP_FIELDS",
     "IterationRecord",
+    "Records",
     "ExperimentConfig",
     "RunResult",
     "RateFit",
@@ -111,7 +113,7 @@ STEP_FIELDS = {
 }
 METHODS = tuple(STEP_FIELDS)
 _BLOCK_FLOATS = 2**16  # of checkpoint states, measured together
-_EMIT_ROWS = 512  # records that emit formats and writes together
+_EMIT_ROWS = 512  # records that emit formats and writes, or Records converts, together
 
 
 @dataclass(slots=True)
@@ -127,6 +129,62 @@ class IterationRecord:
     gap: float
     ns: int = 0
     dual_velocity: Optional[float] = None
+
+
+_FIELDS = tuple(f.name for f in dataclasses.fields(IterationRecord))
+
+
+class Records(Sequence):
+    """The records of one run as columns, an attribute per field of
+    :class:`IterationRecord`: ``k`` is an int64 array, and each other field
+    an array (float64, ``ns`` int64) or one value that every record shares,
+    such as the NaN of a quantity the method does not define.  An index or
+    an iteration hands out new ``IterationRecord`` objects of Python ints
+    and floats, so changing one changes nothing here; a slice is a
+    ``Records`` of views."""
+
+    __slots__ = _FIELDS
+
+    def __init__(self, *columns):
+        for name, column in zip(_FIELDS, columns):
+            setattr(self, name, column)
+
+    @classmethod
+    def join(cls, blocks):
+        """The blocks of one run as one ``Records`` of compact arrays."""
+        if not blocks:
+            return _NO_RECORDS
+        return cls(*[np.concatenate(c) if isinstance(c[0], np.ndarray) else c[0]
+                     for c in zip(*[b._columns() for b in blocks])])
+
+    def _columns(self, names=_FIELDS):
+        return [getattr(self, name) for name in names]
+
+    def _lists(self, start, stop, names=_FIELDS):
+        """The columns ``names`` of records ``start:stop`` as lists of Python values."""
+        rows = len(self.k[start:stop])
+        return [c[start:stop].tolist() if isinstance(c, np.ndarray) else [c] * rows
+                for c in self._columns(names)]
+
+    def __len__(self):
+        return len(self.k)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Records(*[c[index] if isinstance(c, np.ndarray) else c
+                             for c in self._columns()])
+        return IterationRecord(*[c.item(index) if isinstance(c, np.ndarray) else c
+                                 for c in self._columns()])
+
+    def __iter__(self):  # a chunk's values at once, not a record's at a time
+        for start in range(0, len(self), _EMIT_ROWS):
+            yield from map(IterationRecord, *self._lists(start, start + _EMIT_ROWS))
+
+    def __add__(self, other):  # as for lists: a list of both runs' records
+        return [*self, *other]
+
+
+_NO_RECORDS = Records(np.empty(0, np.int64), *[math.nan] * 6, 0, None)
 
 
 @dataclass
@@ -191,10 +249,11 @@ class ExperimentConfig:
 
 @dataclass
 class RunResult:
-    """The records of one run; a run that diverged says at which ``k``
-    (its last finite state, 0 before k=1) and why."""
+    """The records of one run, a :class:`Records` that hands out copies; a
+    run that diverged says at which ``k`` (its last finite state, 0 before
+    k=1) and why."""
 
-    records: list
+    records: Sequence
     diverged: bool = False
     diverged_at: Optional[int] = None
     reason: Optional[str] = None
@@ -346,10 +405,11 @@ class _Stacked:
 
 
 def _records(states, dual_velocity=None, **columns):
-    """Each run's records at the checkpoint ``states`` from its metric
-    ``columns`` (a value per state and lockstep row, or one for all), up to
-    its first checkpoint whose norms overflowed on a huge but finite state,
-    a divergence (NaN stays: it flags quantities a method does not define)."""
+    """Each run's :class:`Records` block, of views, at the checkpoint ``states``
+    from its metric ``columns`` (a value per state and lockstep row, or one for
+    all), up to its first checkpoint whose norms overflowed on a huge but finite
+    state, a divergence (NaN stays: it flags quantities a method does not define)."""
+    ks = np.array([s.k for s in states], np.int64)
     # a (runs, states) table per column, or one value that every record shares
     table = [np.reshape(c, (len(states), -1)).T if np.ndim(c) else c
              for c in [columns[q] for q in _QUANTITIES] + [0, dual_velocity]]  # ns is 0
@@ -358,8 +418,7 @@ def _records(states, dual_velocity=None, **columns):
     runs = []
     for row, bad in enumerate(overflow):
         end = int(bad.argmax()) if bad.any() else len(states)
-        values = [c[row, :end].tolist() if np.ndim(c) else [c] * end for c in table]
-        runs.append(list(map(IterationRecord, [s.k for s in states[:end]], *values)))
+        runs.append(Records(ks[:end], *[c[row, :end] if np.ndim(c) else c for c in table]))
     return runs
 
 
@@ -394,8 +453,8 @@ class _InclusionDriver:
             self.step = lambda state: baseline_step(method, state, problem)
 
     def measure(self, states, reference):
-        """The records of the checkpoint ``states``, from one stacked
-        product per operator for all of them."""
+        """The :class:`Records` block of the checkpoint ``states`` (in a
+        list of one), from one stacked product per operator for all of them."""
         s, method, pd = _Stacked(states), self.method_name, self.pd
         z = s.z
         # rfix = ||z_k - FB(z_k)|| from the images of z_k that the state carries
@@ -453,8 +512,8 @@ class _PdDriver:
         return None if state is None else _rows(state, rows)
 
     def measure(self, states, reference):
-        """The records of the checkpoint ``states``, a list per run of a
-        lockstep block, from one stacked product per operator."""
+        """The :class:`Records` blocks of the checkpoint ``states``, one per
+        run of a lockstep block, from one stacked product per operator."""
         s, problem, ref = _Stacked(states), self.problem, reference
         gap = math.nan if ref is None else lagrangian_gap(s.x, s.lam, ref.x_star,
                                                           ref.lam_star, problem)
@@ -477,7 +536,8 @@ def _driver(configs, problem):
 
 def run_experiment(config: ExperimentConfig, problem=None, reference=None,
                    lockstep=None):
-    """Execute one configured run and return its records.
+    """Execute one configured run and return its result, whose records are
+    a :class:`Records`: a record read from them is a copy.
 
     ``problem`` and ``reference`` override the config-derived ones (useful
     for in-process experiments).  Divergence yields the records gathered so
@@ -493,7 +553,8 @@ def run_experiment(config: ExperimentConfig, problem=None, reference=None,
     such groups from a grid of configs and runs them.
 
     Checkpoint states are measured in blocks, bit for bit as one at a time,
-    by ``flush``; ``ns`` is stamped when a checkpoint is reached.
+    by ``flush``, and each run's blocks are joined once at the end; ``ns``
+    is stamped when a checkpoint is reached.
     """
     configs = [config, *(lockstep or ())]
     for c in configs:
@@ -510,11 +571,14 @@ def run_experiment(config: ExperimentConfig, problem=None, reference=None,
     if reference is None and config.reference is not None:
         reference = _load_reference(config.reference, problem)
     driver = _driver(configs, problem)
-    checkpoints = set(
+    # the checkpoints in increasing order, each once, and none that no state
+    # reaches (such as 2.5); due is the next one
+    ahead = (k for k, _ in groupby(sorted(
         config.checkpoints if config.checkpoints is not None
-        else default_checkpoints(config.iters)
-    )
-    results = [RunResult(records=[]) for _ in configs]
+        else default_checkpoints(config.iters))) if k % 1 == 0)
+    due = next(ahead, None)
+    results = [RunResult(records=_NO_RECORDS) for _ in configs]
+    blocks = [[] for _ in configs]  # each run's measured Records blocks
     live = list(range(len(configs)))  # the config of each row of the state
     pending, stamps = [], []  # the checkpoint states not yet measured, and their ns
     t0 = time.perf_counter_ns() if config.timing else 0
@@ -533,12 +597,12 @@ def run_experiment(config: ExperimentConfig, problem=None, reference=None,
         ``state`` without the rows whose metrics overflowed."""
         if not pending:
             return state
-        for i, records in zip(list(live), driver.measure(pending, reference)):
-            for rec, ns in zip(records, stamps):
-                rec.ns = ns
-            results[i].records += records
-            if len(records) < len(pending):
-                state = retire(state, [i], pending[len(records)].k, "non-finite metrics")
+        for i, block in zip(list(live), driver.measure(pending, reference)):
+            if stamps:
+                block.ns = np.array(stamps[:len(block)], np.int64)
+            blocks[i].append(block)
+            if len(block) < len(pending):
+                state = retire(state, [i], pending[len(block)].k, "non-finite metrics")
         pending.clear()
         stamps.clear()
         return state
@@ -556,7 +620,8 @@ def run_experiment(config: ExperimentConfig, problem=None, reference=None,
                 ids = [live[row] for row in rows]
                 state = retire(flush(state), ids, exc.k, exc.reason)
                 continue
-            if state.k in checkpoints:
+            if state.k == due:
+                due = next(ahead, None)
                 pending.append(state)
                 if config.timing:
                     stamps.append(time.perf_counter_ns() - t0)
@@ -566,6 +631,8 @@ def run_experiment(config: ExperimentConfig, problem=None, reference=None,
                 if len(pending) >= width:
                     state = flush(state)
         flush(state)
+    for result, run in zip(results, blocks):
+        result.records = Records.join(run)
     return results if lockstep is not None else results[0]
 
 
@@ -707,37 +774,41 @@ def inclusion_reference(problem: InclusionProblem, budget=200_000):
 def emit(records, fmt, out):
     """Write records to ``out`` plus one two-column plot file per quantity.
 
-    CSV uses the fixed header and full-precision floats so parsing returns
-    the records exactly.  Rows are streamed in chunks of ``_EMIT_ROWS``:
-    each value of a chunk is formatted once, and each file gets one write
-    per chunk.  Every file is written under a temporary name and renamed
-    into place once all are complete.  Returns the list of written paths.
+    ``records`` is a :class:`Records` or a list of ``IterationRecord``, which
+    is first put into columns.  CSV uses the fixed header and full-precision
+    floats so parsing returns the records exactly.  Rows are streamed in
+    chunks of ``_EMIT_ROWS``, each taken from column slices: each value of a
+    chunk is formatted once, and each file gets one write per chunk.  Every
+    file is written under a temporary name and renamed into place once all
+    are complete.  Returns the list of written paths.
     """
     out = Path(out)
     out.parent.mkdir(parents=True, exist_ok=True)
     if fmt not in ("csv", "json"):
         raise ConfigurationError(f"format must be csv or json, got {fmt!r}")
-    columns = len(_QUANTITIES)  # of a CSV row, between k and ns
+    if not isinstance(records, Records):  # a list, as columns of Python values
+        table = np.array(list(map(operator.attrgetter(*_FIELDS), records)), dtype=object)
+        *fields, dual = table.reshape(-1, len(_FIELDS)).T
+        records = Records(*fields, None if all(v is None for v in dual) else dual)
     quantities = _QUANTITIES
-    if any(r.dual_velocity is not None for r in records):
+    if len(records) and records.dual_velocity is not None:
         quantities += ("dual_velocity",)
     paths = [out] + [out.with_suffix(f".{q}.dat") for q in quantities]
     temps = [Path(f"{path}.tmp") for path in paths]
     with contextlib.ExitStack() as stack:
         main, *plots = [stack.enter_context(open(t, "w")) for t in temps]
         if fmt == "json":
-            payload = [dataclasses.asdict(r) for r in records]
+            payload = [dict(zip(_FIELDS, row)) for row in zip(*records._lists(0, len(records)))]
             main.write(json.dumps(payload, indent=1) + "\n")
         else:
             main.write(CSV_HEADER + "\n")
-        fields = operator.attrgetter("k", "ns", *quantities)
         for start in range(0, len(records), _EMIT_ROWS):
-            ks, ns, *values = zip(*map(fields, records[start:start + _EMIT_ROWS]))
+            ks, ns, *values = records._lists(start, start + _EMIT_ROWS, ("k", "ns", *quantities))
             ks = list(map(str, ks))
             texts = [["nan" if v is None else repr(float(v)) for v in column]
                      for column in values]
             if fmt == "csv":
-                rows = zip(ks, *texts[:columns], map(str, ns))
+                rows = zip(ks, *texts[:len(_QUANTITIES)], map(str, ns))
                 main.write("\n".join(map(",".join, rows)) + "\n")
             for plot, column, text in zip(plots, values, texts):
                 plot.write("".join([f"{k} {t}\n" for k, v, t in zip(ks, column, text)

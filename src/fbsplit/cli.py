@@ -149,8 +149,9 @@ def cmd_compare(args):
     results = dict.fromkeys(config.out for config in configs)
     for config, result in grid:
         bench.emit(result.records, config.format, config.out)
-        # the table needs only the last record
-        results[config.out] = dataclasses.replace(result, records=result.records[-1:])
+        # the table needs only the last record, as a copy: a view would keep
+        # the run's columns alive
+        results[config.out] = dataclasses.replace(result, records=list(result.records[-1:]))
         del result  # free the records before the next group runs
     diverged = False
     print(f"{'method':<12} {'k':>8} {'velocity':>13} {'objective':>16} {'feasibility':>13}")

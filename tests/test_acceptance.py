@@ -28,6 +28,7 @@ import os
 import time
 
 import numpy as np
+import pytest
 
 from conftest import ALPHA, by_k
 from fbsplit.bench import (
@@ -124,6 +125,7 @@ def test_criterion_04_classical_contrast(bench_problem, ffb_run, ffb_params):
            f"(fbs {rfix_fbs:.3e}, ffb {rfix_ffb:.3e})")
 
 
+@pytest.mark.slow
 def test_criterion_05_primal_dual_rates(pd_run, pd_reference):
     ref = pd_reference.value
     recs = by_k(pd_run.value.records)
@@ -171,6 +173,7 @@ def test_criterion_06_certificates(bench_problem):
                   f"subgradient slack {worst_slack:.2e} over 20x100 checks")
 
 
+@pytest.mark.slow
 def test_criterion_07_lyapunov_suite(lyapunov_run, bench_inclusion, ffb_params,
                                      inclusion_z_star):
     eta = lyapunov_run["eta"]
@@ -223,6 +226,7 @@ def _round_sig(value, digits=4):
     return float(Decimal(repr(value)).quantize(quantum))
 
 
+@pytest.mark.slow
 def test_criterion_09_comparison_pattern():
     full = os.environ.get("FBSPLIT_FULL") == "1"
     iters = 1_000_000 if full else 100_000

@@ -164,6 +164,7 @@ def test_rates_reports_slopes(tmp_path, capsys):
     assert "velocity" in table and "rtan" in table
 
 
+@pytest.mark.slow
 def test_reference_subcommand(tmp_path, capsys):
     prob_path = tmp_path / "prob.npz"
     prob = bench.generate_problem(1, 2, 2, seed=4)
@@ -510,6 +511,7 @@ def test_a_reference_of_another_size_is_refused_before_writing(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.slow
 @pytest.mark.filterwarnings("ignore:reference did not converge:RuntimeWarning")
 def test_a_reference_of_another_instance_is_refused_before_writing(tmp_path, capsys):
     size = ["--m", "3", "--p", "4", "--n", "6"]

@@ -145,6 +145,7 @@ def test_energy_F_equals_E_for_constant_forward_map():
     assert f == pytest.approx(e, rel=1e-14)
 
 
+@pytest.mark.slow
 def test_energy_F_lower_bound_along_run(lyapunov_run, bench_inclusion, ffb_params,
                                         inclusion_z_star):
     # F >= eta*(alpha-1)*(1 - 8*eta/(5*alpha-2))*||z_k - z*||^2 beyond an
@@ -191,6 +192,7 @@ def test_perturbed_decrease_flags_fast_growth():
     assert not report.holds
 
 
+@pytest.mark.slow
 def test_perturbed_decrease_on_run(lyapunov_run):
     report = perturbed_decrease_check(lyapunov_run["F"], alpha=5.0,
                                       eta=lyapunov_run["eta"])
@@ -212,6 +214,7 @@ def test_r_certificate_eventually_nonpositive(bench_inclusion, ffb_params):
     assert k1 < 1500
 
 
+@pytest.mark.slow
 def test_s_certificate_nonnegative_along_run(bench_inclusion, ffb_params, inclusion_z_star):
     lo, hi = admissible_eta_interval(ffb_params.alpha)
     eta = 0.5 * (lo + hi)
@@ -226,6 +229,7 @@ def test_s_certificate_nonnegative_along_run(bench_inclusion, ffb_params, inclus
     assert k0 < 1000
 
 
+@pytest.mark.slow
 def test_energy_trajectory_shapes(bench_inclusion, ffb_params, inclusion_z_star):
     E, F = energy_trajectory(bench_inclusion, ffb_params, inclusion_z_star,
                              eta=2.0, epsilon=0.25, iters=50)

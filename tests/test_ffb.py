@@ -189,6 +189,7 @@ def test_residual_inequality_along_run(ffb_run, ffb_params):
         assert rec.rfix <= gamma * rec.rtan * (1 + 1e-12) + 1e-300
 
 
+@pytest.mark.slow
 def test_monotonicity_certificate_along_run(bench_inclusion, ffb_params, inclusion_z_star):
     from fbsplit.diagnostics import monotonicity_certificate
 

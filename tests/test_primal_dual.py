@@ -240,12 +240,14 @@ def test_lagrangian_gap_values():
     assert lagrangian_gap(x, lam, x_ref, lam_ref, prob2) == pytest.approx(expected)
 
 
+@pytest.mark.slow
 def test_gap_decreases_on_benchmark(pd_run):
     recs = {r.k: r for r in pd_run.value.records}
     assert recs[10_000].gap <= recs[100].gap
     assert recs[10_000].gap >= -1e-8  # reference error only
 
 
+@pytest.mark.slow
 def test_objective_bounds_sandwich(bench_problem, pd_reference):
     ref = pd_reference.value
     params = pd_default_steps(5.0, bench_problem)
