@@ -22,7 +22,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import operator
 import time
 import warnings
 from collections.abc import Sequence
@@ -179,9 +178,6 @@ class Records(Sequence):
     def __iter__(self):  # a chunk's values at once, not a record's at a time
         for start in range(0, len(self), _EMIT_ROWS):
             yield from map(IterationRecord, *self._lists(start, start + _EMIT_ROWS))
-
-    def __add__(self, other):  # as for lists: a list of both runs' records
-        return [*self, *other]
 
 
 _NO_RECORDS = Records(np.empty(0, np.int64), *[math.nan] * 6, 0, None)
@@ -690,22 +686,20 @@ def _run_shared(config, lockstep):
 def fit_rate_slope(records, quantity, k_min=1):
     """Least-squares slope of log(quantity) vs log(k) over k >= k_min.
 
-    Rows with nonpositive or non-finite values are excluded; fewer than 10
-    usable rows is an error.
+    Rows of ``records``, a :class:`Records`, whose value is nonpositive,
+    non-finite or None are excluded; fewer than 10 usable rows is an error.
     """
-    ks, vals = [], []
-    for rec in records:
-        v = getattr(rec, quantity)
-        if rec.k < k_min or v is None or not math.isfinite(v) or v <= 0:
-            continue
-        ks.append(rec.k)
-        vals.append(v)
+    ks = records.k
+    # a shared value stands for every row, and None reads as NaN
+    vals = np.broadcast_to(np.asarray(getattr(records, quantity), np.float64), ks.shape)
+    usable = (ks >= k_min) & np.isfinite(vals) & (vals > 0)
+    ks, vals = ks[usable], vals[usable]
     if len(ks) < 10:
         raise ValueError(
             f"need >= 10 usable records for {quantity!r} with k >= {k_min}, got {len(ks)}"
         )
-    x = np.log(np.asarray(ks, dtype=float))
-    y = np.log(np.asarray(vals, dtype=float))
+    x = np.log(ks)
+    y = np.log(vals)
     slope, intercept = np.polyfit(x, y, 1)
     fitted = slope * x + intercept
     ss_res = float(np.sum((y - fitted) ** 2))
@@ -715,7 +709,7 @@ def fit_rate_slope(records, quantity, k_min=1):
         slope=float(slope),
         intercept=float(intercept),
         r2=r2,
-        k_window=(min(ks), max(ks)),
+        k_window=(int(ks.min()), int(ks.max())),
         points=len(ks),
     )
 
@@ -772,24 +766,20 @@ def inclusion_reference(problem: InclusionProblem, budget=200_000):
 
 
 def emit(records, fmt, out):
-    """Write records to ``out`` plus one two-column plot file per quantity.
+    """Write ``records``, a :class:`Records`, to ``out`` plus one two-column
+    plot file per quantity; an unknown ``fmt`` is refused before any is made.
 
-    ``records`` is a :class:`Records` or a list of ``IterationRecord``, which
-    is first put into columns.  CSV uses the fixed header and full-precision
-    floats so parsing returns the records exactly.  Rows are streamed in
-    chunks of ``_EMIT_ROWS``, each taken from column slices: each value of a
-    chunk is formatted once, and each file gets one write per chunk.  Every
-    file is written under a temporary name and renamed into place once all
-    are complete.  Returns the list of written paths.
+    CSV uses the fixed header and full-precision floats so parsing returns
+    the records exactly.  Rows are streamed in chunks of ``_EMIT_ROWS``, each
+    taken from column slices: each value of a chunk is formatted once, and
+    each file gets one write per chunk.  Every file is written under a
+    temporary name and renamed into place once all are complete.  Returns the
+    list of written paths.
     """
-    out = Path(out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     if fmt not in ("csv", "json"):
         raise ConfigurationError(f"format must be csv or json, got {fmt!r}")
-    if not isinstance(records, Records):  # a list, as columns of Python values
-        table = np.array(list(map(operator.attrgetter(*_FIELDS), records)), dtype=object)
-        *fields, dual = table.reshape(-1, len(_FIELDS)).T
-        records = Records(*fields, None if all(v is None for v in dual) else dual)
+    out = Path(out)
+    out.parent.mkdir(parents=True, exist_ok=True)
     quantities = _QUANTITIES
     if len(records) and records.dual_velocity is not None:
         quantities += ("dual_velocity",)
@@ -805,55 +795,50 @@ def emit(records, fmt, out):
         for start in range(0, len(records), _EMIT_ROWS):
             ks, ns, *values = records._lists(start, start + _EMIT_ROWS, ("k", "ns", *quantities))
             ks = list(map(str, ks))
-            texts = [["nan" if v is None else repr(float(v)) for v in column]
-                     for column in values]
+            texts = [[repr(float(v)) for v in column] for column in values]
             if fmt == "csv":
                 rows = zip(ks, *texts[:len(_QUANTITIES)], map(str, ns))
                 main.write("\n".join(map(",".join, rows)) + "\n")
-            for plot, column, text in zip(plots, values, texts):
-                plot.write("".join([f"{k} {t}\n" for k, v, t in zip(ks, column, text)
-                                    if v is not None]))
+            for plot, text in zip(plots, texts):
+                plot.write("".join([f"{k} {t}\n" for k, t in zip(ks, text)]))
     for temp, path in zip(temps, paths):
         temp.replace(path)
     return paths
 
 
 def read_records_csv(path):
+    """An :func:`emit` CSV file as :class:`Records` without dual velocity; a
+    row whose field count is not the header's is refused."""
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"unexpected CSV header in {path}")
-    records = []
-    for line in lines[1:]:
-        k, *values, ns = line.split(",")
-        records.append(IterationRecord(
-            k=int(k), ns=int(ns), **dict(zip(_QUANTITIES, map(float, values)))))
-    return records
+    rows = [line.split(",") for line in lines[1:]]
+    for line, row in enumerate(rows, 2):
+        if len(row) != len(_FIELDS) - 1:
+            raise ValueError(f"{path} line {line} has {len(row)} fields, not {len(_FIELDS) - 1}")
+    k, *values, ns = zip(*rows) if rows else [()] * (len(_FIELDS) - 1)
+    return Records(np.array(k, np.int64), *[np.array(v, np.float64) for v in values],
+                   np.array(ns, np.int64), None)
 
 
 def read_records_json(path):
-    payload = json.loads(Path(path).read_text())
-    return [IterationRecord(**row) for row in payload]
-
-
-def _floats_equal(a, b):
-    if a is None or b is None:
-        return a is None and b is None
-    if math.isnan(a) and math.isnan(b):
-        return True
-    return a == b
+    """An :func:`emit` JSON file as :class:`Records`, dual velocity None if all null."""
+    rows = json.loads(Path(path).read_text())
+    k, *values, ns, dual = [[row[name] for row in rows] for name in _FIELDS]
+    return Records(np.array(k, np.int64), *[np.array(v, np.float64) for v in values],
+                   np.array(ns, np.int64),
+                   None if all(v is None for v in dual) else np.array(dual, np.float64))
 
 
 def records_equal(lhs, rhs, ignore_dual=False):
-    """Exact equality with NaN == NaN; dual velocities optionally ignored
-    (the fixed CSV schema does not carry them)."""
+    """Exact equality of :class:`Records` columns, a shared value equal to a column of
+    it, NaN to NaN and None only to None; ``ignore_dual`` skips the dual velocity CSV lacks."""
+    names = _FIELDS[:-1] if ignore_dual else _FIELDS
     if len(lhs) != len(rhs):
         return False
-    for a, b in zip(lhs, rhs):
-        if a.k != b.k or a.ns != b.ns:
-            return False
-        for name in _QUANTITIES:
-            if not _floats_equal(getattr(a, name), getattr(b, name)):
-                return False
-        if not ignore_dual and not _floats_equal(a.dual_velocity, b.dual_velocity):
+    for a, b in zip(lhs._columns(names), rhs._columns(names)):
+        # None broadcasts to an object column, equal only to None's; k and ns hold no NaN
+        a, b = np.broadcast_to(a, len(lhs)), np.broadcast_to(b, len(lhs))
+        if not np.array_equal(a, b, equal_nan=a.dtype.kind == b.dtype.kind == "f"):
             return False
     return True

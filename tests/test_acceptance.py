@@ -90,7 +90,7 @@ def test_criterion_02_residual_inequality(ffb_run, ffb_params, bench_problem):
     )
     worst = -math.inf
     count = 0
-    for rec in ffb_run.value.records + xi_form.records:
+    for rec in itertools.chain(ffb_run.value.records, xi_form.records):
         bound = gamma * rec.rtan
         worst = max(worst, (rec.rfix - bound) / max(bound, 1e-300))
         count += 1

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import pickle
+import re
 import tracemalloc
 import warnings
 
@@ -14,7 +15,7 @@ from fbsplit.bench import (
     METHODS,
     STEP_FIELDS,
     ExperimentConfig,
-    IterationRecord,
+    Records,
     default_checkpoints,
     emit,
     fit_rate_slope,
@@ -324,6 +325,12 @@ def test_lockstep_row_divergence_mid_block_leaves_the_other_rows():
     assert records_equal(first.records, solo[0].records)
 
 
+def _columns(rows):
+    """The :class:`Records` of a list of ``IterationRecord``, a column per field."""
+    *fields, dual = [[getattr(r, name) for r in rows] for name in bench._FIELDS]
+    return Records(*map(np.array, fields), None if set(dual) == {None} else np.array(dual))
+
+
 @pytest.mark.parametrize("timing", [False, True], ids=["plain", "timing"])
 def test_records_read_as_the_list_they_replace(tmp_path, timing):
     # solo, lockstep and diverged pd runs, as in the divergence test above,
@@ -341,9 +348,9 @@ def test_records_read_as_the_list_they_replace(tmp_path, timing):
         listed = list(records)
         assert len(listed) == len(records)
         for index in (0, -1, len(records) - 1):
-            assert records_equal([records[index]], [listed[index]])
+            assert records_equal(_columns([records[index]]), _columns([listed[index]]))
         for part in (slice(3, 17), slice(-5, None), slice(None, 0), slice(2, None, 3)):
-            assert records_equal(records[part], listed[part])
+            assert records_equal(records[part], _columns(listed[part]))
         for rec in listed:
             assert type(rec.k) is int and type(rec.ns) is int
             assert all(type(getattr(rec, q)) is float for q in bench._QUANTITIES)
@@ -352,13 +359,19 @@ def test_records_read_as_the_list_they_replace(tmp_path, timing):
         # a record handed out is a copy
         records[0].velocity = -1.0
         assert records[0].velocity == listed[0].velocity != -1.0
-        for fmt in ("csv", "json"):
-            columns, rows = (emit(r, fmt, tmp_path / f"{name}{run}.{fmt}")
-                             for name, r in (("columns", records), ("rows", listed)))
-            assert [p.name.replace("columns", "rows") for p in columns] == [p.name for p in rows]
-            assert all(a.read_bytes() == b.read_bytes() for a, b in zip(columns, rows))
-        parsed = read_records_csv(tmp_path / f"columns{run}.csv")
-        assert records_equal(parsed, records, ignore_dual=True)
+        # read back, the shared values of a run equal columns that hold them
+        # throughout, and a dual velocity of None equals only None
+        for fmt, read in (("csv", read_records_csv), ("json", read_records_json)):
+            emit(records, fmt, tmp_path / f"run{run}.{fmt}")
+            parsed = read(tmp_path / f"run{run}.{fmt}")
+            assert records_equal(parsed, records, ignore_dual=True)
+            assert records_equal(parsed, records) is (fmt == "json" or result is fbs)
+        # one ulp off in a quantity, or 1 off in ns, is unequal
+        parsed.velocity[-1] = np.nextafter(parsed.velocity[-1], np.inf)
+        assert not records_equal(parsed, records)
+        parsed = read_records_json(tmp_path / f"run{run}.json")
+        parsed.ns[-1] += 1
+        assert not records_equal(parsed, records)
         ns = [rec.ns for rec in listed]
         if timing:  # stamped at each checkpoint
             assert len(records.ns) == len(records) and ns == sorted(ns) and ns[0] > 0
@@ -413,10 +426,8 @@ def test_lockstep_needs_runs_that_differ_only_in_step_parameters():
 
 
 def test_fit_rate_slope_synthetic():
-    ks = default_checkpoints(10_000)
-    recs = [IterationRecord(k=k, velocity=1.0 / k, rtan=1.0 / math.sqrt(k),
-                            rfix=math.nan, objective=0.0, feasibility=0.0,
-                            gap=math.nan) for k in ks]
+    ks = np.array(default_checkpoints(10_000))
+    recs = Records(ks, 1.0 / ks, 1.0 / np.sqrt(ks), math.nan, 0.0, 0.0, math.nan, 0, None)
     assert fit_rate_slope(recs, "velocity").slope == pytest.approx(-1.0, abs=1e-6)
     assert fit_rate_slope(recs, "rtan").slope == pytest.approx(-0.5, abs=1e-6)
     fit = fit_rate_slope(recs, "velocity", k_min=100)
@@ -424,13 +435,14 @@ def test_fit_rate_slope_synthetic():
 
 
 def test_fit_rate_slope_excludes_nonpositive_and_needs_ten():
-    recs = [IterationRecord(k=k, velocity=0.0, rtan=1.0 / k, rfix=math.nan,
-                            objective=0.0, feasibility=0.0, gap=math.nan)
-            for k in range(1, 30)]
+    ks = np.arange(1, 30)
+    recs = Records(ks, 0.0, 1.0 / ks, math.nan, 0.0, 0.0, math.nan, 0, None)
     with pytest.raises(ValueError):
         fit_rate_slope(recs, "velocity")  # all zero -> no usable rows
     with pytest.raises(ValueError):
         fit_rate_slope(recs[:5], "rtan")
+    with pytest.raises(ValueError):
+        fit_rate_slope(recs, "dual_velocity")  # None -> no usable rows
 
 
 def _scalar_kkt_problem():
@@ -499,13 +511,10 @@ def test_timing_flag_records_wall_clock():
     assert all(r.ns == 0 for r in run_experiment(config_plain).records)
 
 
-def _sample_records():
-    return [
-        IterationRecord(k=1, velocity=0.5, rtan=1.0, rfix=0.1, objective=2.0,
-                        feasibility=0.3, gap=math.nan, ns=0),
-        IterationRecord(k=10, velocity=0.05, rtan=0.1, rfix=0.01, objective=1.5,
-                        feasibility=0.03, gap=0.7, ns=0),
-    ]
+def _sample_records(dual_velocity=None):
+    return Records(np.array([1, 10]), np.array([0.5, 0.05]), np.array([1.0, 0.1]),
+                   np.array([0.1, 0.01]), np.array([2.0, 1.5]), np.array([0.3, 0.03]),
+                   np.array([math.nan, 0.7]), 0, dual_velocity)
 
 
 def test_emit_csv_roundtrip(tmp_path):
@@ -523,8 +532,7 @@ def test_emit_csv_roundtrip(tmp_path):
 
 
 def test_emit_json_roundtrip(tmp_path):
-    records = _sample_records()
-    records[0].dual_velocity = 0.25
+    records = _sample_records(dual_velocity=np.array([0.25, 0.125]))
     out = tmp_path / "run.json"
     emit(records, "json", out)
     parsed = read_records_json(out)
@@ -533,9 +541,11 @@ def test_emit_json_roundtrip(tmp_path):
 
 def test_emit_empty_records(tmp_path):
     out = tmp_path / "empty.csv"
-    emit([], "csv", out)
+    emit(_sample_records()[:0], "csv", out)
     assert out.read_text() == CSV_HEADER + "\n"
-    assert read_records_csv(out) == []
+    assert len(read_records_csv(out)) == 0
+    emit(_sample_records()[:0], "json", out.with_suffix(".json"))
+    assert len(read_records_json(out.with_suffix(".json"))) == 0
 
 
 def test_read_records_csv_rejects_foreign_file(tmp_path):
@@ -545,17 +555,29 @@ def test_read_records_csv_rejects_foreign_file(tmp_path):
         read_records_csv(path)
 
 
+def test_read_records_csv_rejects_a_row_with_another_field_count(tmp_path):
+    # a field too many once read as ns=99, dropping the real ns
+    path = tmp_path / "run.csv"
+    for row in ("1,0.5,nan,0.1,2.0,0.3,nan,0,99", "1,0.5,nan,0.1,2.0,0.3,nan"):
+        path.write_text(f"{CSV_HEADER}\n10,0.05,0.1,0.01,1.5,0.03,0.7,0\n{row}\n")
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))} line 3 has"):
+            read_records_csv(path)
+
+
+def test_emit_refuses_an_unknown_format_before_making_anything(tmp_path):
+    with pytest.raises(ConfigurationError, match="format must be csv or json"):
+        emit(_sample_records(), "xml", tmp_path / "a" / "b" / "run.xml")
+    assert not list(tmp_path.iterdir())
+
+
 def test_emit_golden_bytes(tmp_path):
-    # NaN columns, a roundoff-sized and a huge value, dual velocities absent,
-    # present with a gap, and the json format
-    records = [
-        IterationRecord(k=1, velocity=0.5, rtan=math.nan, rfix=0.1, objective=2.0,
-                        feasibility=0.3, gap=math.nan, ns=0),
-        IterationRecord(k=2, velocity=1e-20, rtan=math.nan, rfix=1 / 3, objective=-1.25,
-                        feasibility=0.0, gap=math.nan, ns=7),
-        IterationRecord(k=10, velocity=0.05, rtan=math.nan, rfix=0.01, objective=1.5e300,
-                        feasibility=0.03, gap=0.7, ns=12),
-    ]
+    # NaN columns, shared and held, a roundoff-sized and a huge value, dual
+    # velocities absent and present, and the json format
+    columns = (np.array([1, 2, 10]), np.array([0.5, 1e-20, 0.05]), math.nan,
+               np.array([0.1, 1 / 3, 0.01]), np.array([2.0, -1.25, 1.5e300]),
+               np.array([0.3, 0.0, 0.03]), np.array([math.nan, math.nan, 0.7]),
+               np.array([0, 7, 12]))
+    records = Records(*columns, None)
     csv = (
         "k,velocity,rtan,rfix,objective,feasibility,gap,ns\n"
         "1,0.5,nan,0.1,2.0,0.3,nan,0\n"
@@ -579,12 +601,12 @@ def test_emit_golden_bytes(tmp_path):
             assert out.with_suffix(f".{q}.dat").read_bytes() == text.encode(), q
 
     check(tmp_path / "a.csv", csv, plots)
-    records[0].dual_velocity, records[2].dual_velocity = 0.25, 0.125
-    with_dual = {**plots, "dual_velocity": "1 0.25\n10 0.125\n"}
+    records = Records(*columns, np.array([0.25, 0.5, 0.125]))
+    with_dual = {**plots, "dual_velocity": "1 0.25\n2 0.5\n10 0.125\n"}
     check(tmp_path / "b.csv", csv, with_dual)
     entries = [
         ("1", "0.5", "NaN", "0.1", "2.0", "0.3", "NaN", "0", "0.25"),
-        ("2", "1e-20", "NaN", "0.3333333333333333", "-1.25", "0.0", "NaN", "7", "null"),
+        ("2", "1e-20", "NaN", "0.3333333333333333", "-1.25", "0.0", "NaN", "7", "0.5"),
         ("10", "0.05", "NaN", "0.01", "1.5e+300", "0.03", "0.7", "12", "0.125"),
     ]
     fields = ("k", "velocity", "rtan", "rfix", "objective", "feasibility", "gap", "ns",
@@ -603,13 +625,13 @@ _INCLUSION_METHODS = ("ffb", "ffb_xi", "fbs", "fast_km", "crifba", "lorenz_pock"
 
 
 def _fresh_record(state, problem, runner):
-    """The checkpoint record of ``state``, with C, FB, grad h and A applied
-    afresh rather than read from the state."""
+    """The checkpoint record of ``state``, its fields by name, with C, FB,
+    grad h and A applied afresh rather than read from the state."""
     if isinstance(runner, bench._PdDriver):
         x = state.x
         top = state.w + problem.h.gradient(x)
         bottom = problem.b - problem.A.apply(x)
-        return IterationRecord(
+        return dict(
             k=state.k, velocity=float(np.linalg.norm(x - state.x_prev)),
             rtan=float(math.hypot(np.linalg.norm(top), np.linalg.norm(bottom))),
             rfix=math.nan, objective=problem.objective(x),
@@ -619,7 +641,7 @@ def _fresh_record(state, problem, runner):
     rtan = math.nan
     if runner.method_name in ("ffb", "ffb_xi"):
         rtan = float(np.linalg.norm(state.xi + inclusion.C.apply(z)))
-    return IterationRecord(
+    return dict(
         k=state.k, velocity=float(np.linalg.norm(z - state.z_prev)), rtan=rtan,
         rfix=fixed_point_residual(z, inclusion, runner.gamma),
         objective=float(problem.h.value(z)),
@@ -627,17 +649,20 @@ def _fresh_record(state, problem, runner):
 
 
 def _fresh_records(config, problem):
-    """The records of a run of ``config``, each recomputed from its state."""
+    """The records of a run of ``config`` as columns, each record recomputed
+    from its state."""
     if config.method in ("pd", "pd_alt"):
         runner = bench._PdDriver([config], problem)
     else:
         runner = bench._InclusionDriver(config, problem)
     state = runner.init()
-    records = [_fresh_record(state, problem, runner)]
+    rows = [_fresh_record(state, problem, runner)]
     while state.k < config.iters:
         state = runner.step(state)
-        records.append(_fresh_record(state, problem, runner))
-    return records
+        rows.append(_fresh_record(state, problem, runner))
+    ks, *values = (np.array([row[name] for row in rows]) for name in ("k", *bench._QUANTITIES))
+    dual = [row.get("dual_velocity") for row in rows]
+    return Records(ks, *values, 0, None if dual[0] is None else np.array(dual))
 
 
 @pytest.mark.parametrize("method", _INCLUSION_METHODS + ("pd", "pd_alt"))
