@@ -806,9 +806,17 @@ def emit(records, fmt, out):
     return paths
 
 
+def _int64_columns(path, *columns):
+    """Each of ``columns`` as an int64 array; a value past int64 is refused, naming ``path``."""
+    try:
+        return [np.array(c, np.int64) for c in columns]
+    except OverflowError as exc:
+        raise ValueError(f"{path} has a k or ns past int64: {exc}") from None
+
+
 def read_records_csv(path):
     """An :func:`emit` CSV file as :class:`Records` without dual velocity; a
-    row whose field count is not the header's is refused."""
+    row whose field count is not the header's, or a k or ns past int64, is refused."""
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"unexpected CSV header in {path}")
@@ -817,16 +825,17 @@ def read_records_csv(path):
         if len(row) != len(_FIELDS) - 1:
             raise ValueError(f"{path} line {line} has {len(row)} fields, not {len(_FIELDS) - 1}")
     k, *values, ns = zip(*rows) if rows else [()] * (len(_FIELDS) - 1)
-    return Records(np.array(k, np.int64), *[np.array(v, np.float64) for v in values],
-                   np.array(ns, np.int64), None)
+    k, ns = _int64_columns(path, k, ns)
+    return Records(k, *[np.array(v, np.float64) for v in values], ns, None)
 
 
 def read_records_json(path):
-    """An :func:`emit` JSON file as :class:`Records`, dual velocity None if all null."""
+    """An :func:`emit` JSON file as :class:`Records`, dual velocity None if all
+    null; a k or ns past int64 is refused."""
     rows = json.loads(Path(path).read_text())
     k, *values, ns, dual = [[row[name] for row in rows] for name in _FIELDS]
-    return Records(np.array(k, np.int64), *[np.array(v, np.float64) for v in values],
-                   np.array(ns, np.int64),
+    k, ns = _int64_columns(path, k, ns)
+    return Records(k, *[np.array(v, np.float64) for v in values], ns,
                    None if all(v is None for v in dual) else np.array(dual, np.float64))
 
 

@@ -15,7 +15,9 @@ The certificate form propagates instead an element xi_k of M(z_k):
                        + (2k+a)/(2(k+a)) (xi_k + C(z_{k-1})) - C(z_k)
 
 with a > 2 and step size 0 < g < 8(a-1) beta / (5a-2).  Both produce the
-same iterates; the maintained xi_k certifies the tangent residual
+same iterates through one step: since y_{k-1} - z_k = g (xi_k + C(z_{k-1})),
+the certificate form builds its y_k from xi_k and takes the extrapolation
+form's step.  The maintained xi_k certifies the tangent residual
 ||xi_k + C(z_k)|| as a computable bound on dist(0, M(z_k) + C(z_k)).
 """
 
@@ -88,7 +90,8 @@ class FfbState:
     certificate element of M(z_k), ``c_prev`` is C(z_{k-1}) and ``c`` is
     C(z_k).  The step that makes z_k evaluates C(z_k) once, and the next
     step and the residuals read it here.  The identity
-    xi = (y - z)/gamma - c_prev holds exactly after every step.
+    xi = (y - z)/gamma - c_prev holds bit for bit after every step of
+    either form.
     """
 
     k: int
@@ -178,24 +181,15 @@ def ffb_step_y(state: FfbState, problem: InclusionProblem, params: FfbParams):
 def ffb_step_xi(state: FfbState, problem: InclusionProblem, params: FfbParams):
     """Advance one iteration using the certificate form.
 
-    Produces the same iterates as :func:`ffb_step_y`; ``y`` is reconstructed
-    from the identity y_k = z_{k+1} + gamma*(xi_{k+1} + C(z_k)) so states
-    from both forms stay interchangeable.
+    Builds y_k = z_k + m (z_k - z_{k-1}) + c gamma (xi_k + C(z_{k-1})) from the
+    identity y_{k-1} - z_k = gamma (xi_k + C(z_{k-1})) and takes the step of
+    :func:`ffb_step_y`, so the iterates agree with it up to roundoff and
+    states from both forms stay interchangeable.
     """
-    k, gamma, alpha = state.k, params.gamma, params.alpha
-    m, _ = _extrapolation_coefficients(alpha, k)
-    w = (2.0 * k + alpha) / (2.0 * (k + alpha))
-    c_k = state.c
-    t = state.xi + state.c_prev
-    dz = state.z - state.z_prev
-    u = state.z - gamma * c_k + m * dz + w * gamma * t
-    _check_finite(state, u)
-    z_next = problem.M.resolvent(gamma, u)
-    xi_next = (state.z - z_next + m * dz) / gamma + w * t - c_k
-    _check_finite(state, xi_next)
-    y_k = z_next + gamma * (xi_next + c_k)
-    return FfbState(k=k + 1, z_prev=state.z, z=z_next, y=y_k, xi=xi_next, c_prev=c_k,
-                    c=problem.C.apply(z_next))
+    m, c = _extrapolation_coefficients(params.alpha, state.k)
+    y_k = (state.z + m * (state.z - state.z_prev)
+           + c * params.gamma * (state.xi + state.c_prev))
+    return _advance(state, problem, params.gamma, state.z, y_k, state.c)
 
 
 def tangent_residual(state: FfbState):

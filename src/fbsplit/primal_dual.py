@@ -16,13 +16,13 @@ tau sigma ||A||^2 < 1 its step rule is ffb's, 1 < max_step_size(a, beta_P), at
 beta_P = beta min(1/tau, 1/sigma) (1 - sqrt(tau sigma ||A||^2)), a lower bound
 on the cocoercivity modulus of C in P.
 
-Along the run the certificate w_{k+1} = (v_k - x_{k+1})/tau
-+ A*(l_{k+1} - eta_k) - grad h(x_k) satisfies
+One kernel takes that step from the scaled point (u, q) = (tau r_x, sigma r_l)
+of r = P y_k - C(z_k), u being the prox argument above.  Its certificate
+w_{k+1} = (u - x_{k+1})/tau + A* l_{k+1}, the x-part of r - P z_{k+1}, satisfies
 w_{k+1} - A* l_{k+1} in subdifferential f(x_{k+1}), and the implied dual
-certificate equals b - A x_k exactly; both are testable optimality records.
-
-An equivalent three-sequence recursion in (x, lambda, w) alone is provided
-as :func:`pd_step_alternative`, and the FLAG scheme as an external baseline.
+certificate equals b - A x_{k+1}; both are testable optimality records.
+:func:`pd_step_alternative` builds the point from (x, lambda, w) alone, as ffb's
+certificate form in P.  The FLAG scheme is an external baseline.
 """
 
 import math
@@ -177,22 +177,30 @@ class PdState:
     ax: np.ndarray
 
 
-def _advance(state, problem: PdProblem, params: PdParams, x, lam, v, eta, g):
-    """The state after ``state`` (None before k=1) from x_k, lam_k, the
-    extrapolated v_k, eta_k and g = grad h(x_k): x_{k+1} and l_{k+1} as in the
-    module docstring, w_{k+1}, grad h(x_{k+1}) and A x_{k+1}."""
+def _advance(state, problem: PdProblem, params: PdParams, x, lam, g, u, q, v=None, eta=None):
+    """The state after ``state`` (None before k=1) from x_k, lam_k, g = grad h(x_k)
+    and the scaled point (u, q) = (tau r_x, sigma r_l) of r = P y_k - C(z_k):
+    z_{k+1} = (P + M)^{-1} r and w_{k+1} as in the module docstring.  The state
+    keeps the extrapolated points ``v`` and ``eta``, None from the certificate form."""
     tau, sigma = params.tau, params.sigma
-    u = v - tau * problem.A.adjoint_apply(eta) - tau * g
     _check_finite(state, u)
     x_next = problem.f.resolvent(tau, u)
     ax_next = problem.A.apply(x_next)
-    lam_next = eta + sigma * (2.0 * ax_next - problem.b - problem.A.apply(v))
-    w_next = (v - x_next) / tau + problem.A.adjoint_apply(lam_next - eta) - g
+    lam_next = q + sigma * (2.0 * ax_next - problem.b)
+    w_next = (u - x_next) / tau + problem.A.adjoint_apply(lam_next)
     _check_finite(state, lam_next, w_next)
     k = 1 if state is None else state.k + 1
     return PdState(k=k, x_prev=x, x=x_next, lam_prev=lam, lam=lam_next, v=v,
                    dual_extrap=eta, w=w_next, grad_prev=g,
                    grad=problem.h.gradient(x_next), ax=ax_next)
+
+
+def _advance_from_y(state, problem: PdProblem, params: PdParams, x, lam, v, eta, g):
+    """:func:`_advance` from the extrapolated point y_k = (v_k, eta_k), whose
+    scaled point is u = v - tau A* eta - tau g and q = eta - sigma A v."""
+    tau, sigma, A = params.tau, params.sigma, problem.A
+    return _advance(state, problem, params, x, lam, g, v - tau * A.adjoint_apply(eta) - tau * g,
+                    eta - sigma * A.apply(v), v, eta)
 
 
 def pd_init(problem: PdProblem, params: PdParams, x0=None, v0=None,
@@ -211,7 +219,7 @@ def pd_init(problem: PdProblem, params: PdParams, x0=None, v0=None,
     v0 = x0.copy() if v0 is None else as_vector(v0, dim=n, name="v0")
     lam0 = np.zeros(rows + (m,)) if lam0 is None else as_vector(lam0, dim=m, name="lam0")
     eta0 = lam0.copy() if eta0 is None else as_vector(eta0, dim=m, name="eta0")
-    return _advance(None, problem, params, x0, lam0, v0, eta0, problem.h.gradient(x0))
+    return _advance_from_y(None, problem, params, x0, lam0, v0, eta0, problem.h.gradient(x0))
 
 
 def pd_step(state: PdState, problem: PdProblem, params: PdParams):
@@ -221,43 +229,23 @@ def pd_step(state: PdState, problem: PdProblem, params: PdParams):
     m_c, c_c = _extrapolation_coefficients(params.alpha, state.k)
     v_k = _extrapolate(state.x, state.x_prev, state.v, m_c, c_c)
     eta_k = _extrapolate(state.lam, state.lam_prev, state.dual_extrap, m_c, c_c)
-    return _advance(state, problem, params, state.x, state.lam, v_k, eta_k, state.grad)
+    return _advance_from_y(state, problem, params, state.x, state.lam, v_k, eta_k, state.grad)
 
 
 def pd_step_alternative(state: PdState, problem: PdProblem, params: PdParams):
-    """One iteration of the equivalent (x, lambda, w)-only recursion.
-
-    The dual certificate b - A x_k is substituted in closed form, so no
-    extrapolation points are carried; the produced trajectory coincides with
-    :func:`pd_step` up to floating-point roundoff.
-    """
-    k, alpha, tau, sigma = state.k, params.alpha, params.tau, params.sigma
-    m_c, c_c = _extrapolation_coefficients(alpha, k)
-    A, At = problem.A.apply, problem.A.adjoint_apply
-    dx = state.x - state.x_prev
-    dlam = state.lam - state.lam_prev
-    g_k = state.grad
-    u = (state.x - tau * (g_k + At(state.lam)) + m_c * dx
-         - tau * m_c * At(dlam) + c_c * tau * (state.w + state.grad_prev))
-    _check_finite(state, u)
-    x_next = problem.f.resolvent(tau, u)
-    ax = state.ax
-    ax_next = A(x_next)
-    lam_next = (
-        state.lam + sigma * (ax_next - problem.b) + m_c * dlam
-        + sigma * (ax_next - ax - m_c * A(dx))
-        - c_c * sigma * (ax - problem.b)
-    )
-    w_next = (
-        (state.x - x_next + m_c * dx) / tau
-        - At(state.lam - lam_next + m_c * dlam)
-        + c_c * (state.w + state.grad_prev)
-        - g_k
-    )
-    _check_finite(state, lam_next, w_next)
-    return PdState(k=k + 1, x_prev=state.x, x=x_next, lam_prev=state.lam, lam=lam_next,
-                   v=None, dual_extrap=None, w=w_next, grad_prev=g_k,
-                   grad=problem.h.gradient(x_next), ax=ax_next)
+    """One iteration of the equivalent (x, lambda, w)-only recursion: ffb's
+    certificate form in P, whose point is y_k = z_k + m (z_k - z_{k-1}) + c P^{-1} t
+    with t = xi_k + C(z_{k-1}) = (w_k + grad h(x_{k-1}), b - A x_k).  No
+    extrapolation points are carried; the trajectory coincides with
+    :func:`pd_step` up to floating-point roundoff."""
+    tau, sigma, A = params.tau, params.sigma, problem.A
+    m_c, c_c = _extrapolation_coefficients(params.alpha, state.k)
+    x_hat = state.x + m_c * (state.x - state.x_prev)
+    lam_hat = state.lam + m_c * (state.lam - state.lam_prev)
+    g = state.grad
+    u = x_hat - tau * (A.adjoint_apply(lam_hat) - c_c * (state.w + state.grad_prev) + g)
+    q = lam_hat - sigma * (A.apply(x_hat) - c_c * (problem.b - state.ax))
+    return _advance(state, problem, params, state.x, state.lam, g, u, q)
 
 
 def pd_zeta(state: PdState, problem: PdProblem, params: PdParams):
@@ -276,9 +264,9 @@ def pd_zeta(state: PdState, problem: PdProblem, params: PdParams):
 def certificate_residual(state: PdState, problem: PdProblem):
     """The lifted tangent residual ||xi_k + C(z_k)||: the norm of (w_k + grad h(x_k),
     b - A x_k), which vanishes at optimality, from the images the state carries.
-    Stacked rows get one each, by ``math.hypot``; ``np.hypot`` does not match."""
-    hypot = np.frompyfunc(math.hypot, 2, 1)
-    return hypot(norm(state.w + state.grad), norm(problem.b - state.ax))
+    Stacked rows get a float64 array by ``math.hypot``; ``np.hypot`` does not match."""
+    r = np.frompyfunc(math.hypot, 2, 1)(norm(state.w + state.grad), norm(problem.b - state.ax))
+    return r.astype(np.float64) if isinstance(r, np.ndarray) else r
 
 
 def certificate_subgradient(state: PdState, problem: PdProblem):

@@ -44,6 +44,7 @@ from fbsplit.operators import (
 from fbsplit.primal_dual import (
     PdParams,
     PdProblem,
+    certificate_residual,
     objective_bounds,
     pd_default_steps,
     pd_init,
@@ -412,6 +413,19 @@ def test_a_checkpoint_record_takes_at_most_64_bytes():
     assert math.isnan(records.rtan) and math.isnan(records.gap)
 
 
+@pytest.mark.parametrize("method", ["pd", "pd_alt"])
+def test_certificate_residual_column_is_float64(method):
+    # math.hypot by np.frompyfunc made an object array of Python floats; a
+    # lockstep pair takes the same path with a block per checkpoint
+    config = ExperimentConfig(method=method, **_DENSE)
+    results = run_experiment(config, lockstep=[dataclasses.replace(config, alpha=3.0)])
+    for records in [run_experiment(config).records] + [r.records for r in results]:
+        assert records.rtan.dtype == np.float64 and records.rtan.shape == (40,)
+    problem = generate_problem(4, 6, 10, seed=3)
+    params = pd_default_steps(5.0, problem)
+    assert type(certificate_residual(pd_init(problem, params), problem)) is float
+
+
 def test_lockstep_needs_runs_that_differ_only_in_step_parameters():
     base = ExperimentConfig(method="pd", m=3, p=4, n=6, iters=5)
     for other in (ExperimentConfig(method="pd", m=3, p=4, n=6, iters=6),
@@ -562,6 +576,23 @@ def test_read_records_csv_rejects_a_row_with_another_field_count(tmp_path):
         path.write_text(f"{CSV_HEADER}\n10,0.05,0.1,0.01,1.5,0.03,0.7,0\n{row}\n")
         with pytest.raises(ValueError, match=f"{re.escape(str(path))} line 3 has"):
             read_records_csv(path)
+
+
+@pytest.mark.parametrize("row", ["99999999999999999999,0.5,nan,0.1,2.0,0.3,nan,0",
+                                 "1,0.5,nan,0.1,2.0,0.3,nan,99999999999999999999"],
+                         ids=["k", "ns"])
+def test_readers_refuse_an_integer_past_int64(tmp_path, row):
+    # the int64 column raised OverflowError, which the CLI does not catch
+    path = tmp_path / "run.csv"
+    path.write_text(f"{CSV_HEADER}\n{row}\n")
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))} has a k or ns past int64"):
+        read_records_csv(path)
+    k, *values, ns = row.split(",")
+    fields = dict(zip(CSV_HEADER.split(","), [int(k), *map(float, values), int(ns)]))
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps([{**fields, "dual_velocity": None}]))
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))} has a k or ns past int64"):
+        read_records_json(path)
 
 
 def test_emit_refuses_an_unknown_format_before_making_anything(tmp_path):
@@ -766,7 +797,7 @@ class _ProductCounter:
     ("lorenz_pock", 6, "baseline_step", 4),
     ("relaxed_inertial", 6, "baseline_step", 4),
     ("pd", 1, "pd_step", 6),
-    ("pd_alt", 1, "pd_step_alternative", 7),
+    ("pd_alt", 1, "pd_step_alternative", 6),
 ])
 def test_checkpoint_and_step_products(monkeypatch, method, measure_products, step_name,
                                       step_products):

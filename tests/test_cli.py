@@ -687,6 +687,13 @@ def test_rates_refuses_a_file_with_a_row_of_another_field_count(tmp_path, capsys
     assert f"{out} line 2 has 9 fields, not 8" in capsys.readouterr().err
 
 
+def test_rates_refuses_a_file_with_an_integer_past_int64(tmp_path, capsys):
+    out = tmp_path / "run.csv"
+    out.write_text(f"{bench.CSV_HEADER}\n1,0.5,nan,0.1,2.0,0.3,nan,99999999999999999999\n")
+    assert cli.main(["rates", str(out), "--quantities", "velocity"]) == cli.EXIT_CONFIG
+    assert f"{out} has a k or ns past int64" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag,given,missing", [
     ("--problem-file", "reference", "A, b, B, c"),
     ("--reference", "problem", "x_star, lam_star, objective, feasibility, converged"),

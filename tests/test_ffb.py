@@ -134,14 +134,12 @@ def test_step_xi_matches_hand_trace():
     assert s_x.xi[0] == pytest.approx(s_y.xi[0], abs=1e-14)
 
 
-def test_xi_identity_exact_along_run(bench_inclusion, ffb_params):
+@pytest.mark.parametrize("step", [ffb_step_y, ffb_step_xi])
+def test_xi_identity_exact_along_run(bench_inclusion, ffb_params, step):
     state = ffb_init(bench_inclusion, ffb_params)
     for _ in range(50):
-        state = ffb_step_y(state, bench_inclusion, ffb_params)
-        lhs = state.xi
-        rhs = (state.y - state.z) / ffb_params.gamma - state.c_prev
-        scale = max(1.0, float(np.max(np.abs(rhs))))
-        np.testing.assert_allclose(lhs, rhs, atol=1e-14 * scale)
+        state = step(state, bench_inclusion, ffb_params)
+        assert np.array_equal(state.xi, (state.y - state.z) / ffb_params.gamma - state.c_prev)
 
 
 def test_formulation_equivalence_long_run():
