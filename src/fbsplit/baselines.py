@@ -148,7 +148,7 @@ def _carry_images(state: BaselineState, method: BaselineMethod,
     return state
 
 
-def baseline_init(method: BaselineMethod, problem: InclusionProblem, z0=None):
+def baseline_init(problem: InclusionProblem, method: BaselineMethod, z0=None):
     """State at k=1.  FBS takes one real step; inertial variants start with
     cleared momentum history (z_1 = z_0)."""
     method = method.resolve(problem)
@@ -168,8 +168,8 @@ def baseline_init(method: BaselineMethod, problem: InclusionProblem, z0=None):
     return _carry_images(state, method, problem)
 
 
-def baseline_step(method: BaselineMethod, state: BaselineState,
-                  problem: InclusionProblem):
+def baseline_step(state: BaselineState, problem: InclusionProblem,
+                  method: BaselineMethod):
     """Advance ``state`` one iteration of the method's update rule."""
     k = state.k
     gamma = method.gamma

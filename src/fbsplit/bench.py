@@ -55,6 +55,7 @@ from .ffb import (
 from .linalg import LinearMap, norm
 from .operators import InclusionProblem, L1Subdifferential, quadratic_term
 from .primal_dual import (
+    FlagParams,
     PdParams,
     PdProblem,
     certificate_residual,
@@ -112,7 +113,8 @@ STEP_FIELDS = {
 }
 METHODS = tuple(STEP_FIELDS)
 _BLOCK_FLOATS = 2**16  # of checkpoint states, measured together
-_EMIT_ROWS = 512  # records that emit formats and writes, or Records converts, together
+_INCLUSION_BUDGET = 200_000  # iterations of inclusion_reference
+_EMIT_ROWS = 512  # records that emit formats and writes together
 
 
 @dataclass(slots=True)
@@ -174,10 +176,6 @@ class Records(Sequence):
                              for c in self._columns()])
         return IterationRecord(*[c.item(index) if isinstance(c, np.ndarray) else c
                                  for c in self._columns()])
-
-    def __iter__(self):  # a chunk's values at once, not a record's at a time
-        for start in range(0, len(self), _EMIT_ROWS):
-            yield from map(IterationRecord, *self._lists(start, start + _EMIT_ROWS))
 
 
 _NO_RECORDS = Records(np.empty(0, np.int64), *[math.nan] * 6, 0, None)
@@ -427,39 +425,46 @@ def _rows(obj, index):
     })
 
 
-class _InclusionDriver:
-    """Uniform init/step/measure wrapper over the inclusion-form methods."""
+class _Driver:
+    """Init and step by the family's ``_init(problem, params)`` and ``_step(state,
+    problem, params)``, read from this module when a driver is built, so a function
+    replaced here is the one called.  Methods, not lambdas over self: a driver in a
+    reference cycle would keep its problem alive until the cycle collector ran."""
+
+    def init(self):
+        return self._init(self.problem, self.params)
+
+    def step(self, state):
+        return self._step(state, self.problem, self.params)
+
+
+class _InclusionDriver(_Driver):
+    """Init/step/measure over one inclusion-form run."""
 
     def __init__(self, config, problem):
         self.pd = problem if isinstance(problem, PdProblem) else None
-        if self.pd is not None:
-            problem = problem.inclusion
-        self.problem = problem
+        problem = self.problem = problem.inclusion if self.pd else problem
         self.method_name = config.method
         if config.method in _FFB_METHODS:
-            params = _params_from(FfbParams(), config).resolve(problem.beta)
-            step = ffb_step_y if config.method == "ffb" else ffb_step_xi
-            self.gamma = params.gamma
-            self.init = lambda: ffb_init(problem, params)
-            self.step = lambda state: step(state, problem, params)
+            self.params = _params_from(FfbParams(), config).resolve(problem.beta)
+            self._init = ffb_init
+            self._step = ffb_step_y if config.method == "ffb" else ffb_step_xi
         else:
-            method = _params_from(BaselineMethod(config.method), config).resolve(problem)
-            self.gamma = method.gamma
-            self.init = lambda: baseline_init(method, problem)
-            self.step = lambda state: baseline_step(method, state, problem)
+            self.params = _params_from(BaselineMethod(config.method), config).resolve(problem)
+            self._init, self._step = baseline_init, baseline_step
 
     def measure(self, states, reference):
         """The :class:`Records` block of the checkpoint ``states`` (in a
         list of one), from one stacked product per operator for all of them."""
-        s, method, pd = _Stacked(states), self.method_name, self.pd
+        s, method, pd, gamma = _Stacked(states), self.method_name, self.pd, self.params.gamma
         z = s.z
         # rfix = ||z_k - FB(z_k)|| from the images of z_k that the state carries
         if method in FB_CARRIED:
             rfix = norm(z - s.fb)
         elif method in _FFB_METHODS or method in C_CARRIED:
-            rfix = norm(z - _forward_backward(self.problem, self.gamma, z, s.c))
+            rfix = norm(z - _forward_backward(self.problem, gamma, z, s.c))
         else:
-            rfix = fixed_point_residual(z, self.problem, self.gamma)
+            rfix = fixed_point_residual(z, self.problem, gamma)
         return _records(
             states, velocity=norm(z - s.z_prev),
             rtan=tangent_residual(s) if method in _FFB_METHODS else math.nan, rfix=rfix,
@@ -467,7 +472,7 @@ class _InclusionDriver:
             feasibility=pd.feasibility(z) if pd else math.nan, gap=math.nan)
 
 
-class _PdDriver:
+class _PdDriver(_Driver):
     """Init/step/measure over one primal-dual run, or over a lockstep group
     of ``pd``/``pd_alt`` runs whose states are the rows of one block."""
 
@@ -480,11 +485,13 @@ class _PdDriver:
         self.problem = problem
         self.method_name = config.method
         if config.method == "flag":
-            self.params = _params_from(flag_default_params(problem), config).validate()
+            params = flag_default_params(problem) if config.tau is None else FlagParams(config.tau)
+            self.params = params.validate()
             self._init, self._step = flag_init, flag_step
         else:
-            # pd_init validates them, once per run
-            rows = [_params_from(pd_default_steps(c.alpha, problem), c) for c in configs]
+            # pd_init validates them, once per run; defaults only for a step left unset
+            rows = [_params_from(pd_default_steps(c.alpha, problem), c) if None in (c.tau, c.sigma)
+                    else PdParams(c.alpha, c.tau, c.sigma) for c in configs]
             if len(rows) == 1:
                 self.params = rows[0]
             else:  # a block takes each parameter as a (K, 1) column, a row per run
@@ -492,14 +499,6 @@ class _PdDriver:
                 self.params = PdParams(*columns)
             self._init = pd_init
             self._step = pd_step_alternative if config.method == "pd_alt" else pd_step
-
-    # methods rather than lambdas over self: a driver in a reference cycle
-    # would keep its problem alive until the cycle collector ran
-    def init(self):
-        return self._init(self.problem, self.params)
-
-    def step(self, state):
-        return self._step(state, self.problem, self.params)
 
     def keep(self, state, rows):
         """The block ``state`` (None before k=1) cut to ``rows``; the step
@@ -686,32 +685,27 @@ def _run_shared(config, lockstep):
 def fit_rate_slope(records, quantity, k_min=1):
     """Least-squares slope of log(quantity) vs log(k) over k >= k_min.
 
-    Rows of ``records``, a :class:`Records`, whose value is nonpositive,
-    non-finite or None are excluded; fewer than 10 usable rows is an error.
+    Rows of ``records``, a :class:`Records`, whose k is below 1 or whose
+    value is nonpositive, non-finite or None are excluded; fewer than 10
+    usable rows, or usable rows that share one k, is an error.
     """
     ks = records.k
     # a shared value stands for every row, and None reads as NaN
     vals = np.broadcast_to(np.asarray(getattr(records, quantity), np.float64), ks.shape)
-    usable = (ks >= k_min) & np.isfinite(vals) & (vals > 0)
+    usable = (ks >= max(k_min, 1)) & np.isfinite(vals) & (vals > 0)
     ks, vals = ks[usable], vals[usable]
     if len(ks) < 10:
         raise ValueError(
-            f"need >= 10 usable records for {quantity!r} with k >= {k_min}, got {len(ks)}"
-        )
-    x = np.log(ks)
-    y = np.log(vals)
+            f"need >= 10 usable records for {quantity!r} with k >= {k_min}, got {len(ks)}")
+    if ks.min() == ks.max():
+        raise ValueError(f"the {len(ks)} usable records for {quantity!r} all have k = {ks[0]}")
+    x, y = np.log(ks), np.log(vals)
     slope, intercept = np.polyfit(x, y, 1)
-    fitted = slope * x + intercept
-    ss_res = float(np.sum((y - fitted) ** 2))
+    ss_res = float(np.sum((y - (slope * x + intercept)) ** 2))
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return RateFit(
-        slope=float(slope),
-        intercept=float(intercept),
-        r2=r2,
-        k_window=(int(ks.min()), int(ks.max())),
-        points=len(ks),
-    )
+    return RateFit(slope=float(slope), intercept=float(intercept), r2=r2,
+                   k_window=(int(ks.min()), int(ks.max())), points=len(ks))
 
 
 def reference_solution(problem: PdProblem, budget=1_000_000, alpha=5.0,
@@ -756,11 +750,11 @@ def reference_solution(problem: PdProblem, budget=1_000_000, alpha=5.0,
     return ref
 
 
-def inclusion_reference(problem: InclusionProblem, budget=200_000):
-    """Approximate zero of M + C from a long fast forward-backward run."""
+def inclusion_reference(problem: InclusionProblem):
+    """Approximate zero of M + C from ``_INCLUSION_BUDGET`` ffb iterations."""
     params = FfbParams().resolve(problem.beta)
     state = ffb_init(problem, params)
-    while state.k < budget:
+    while state.k < _INCLUSION_BUDGET:
         state = ffb_step_y(state, problem, params)
     return state.z
 
@@ -773,7 +767,8 @@ def emit(records, fmt, out):
     the records exactly.  Rows are streamed in chunks of ``_EMIT_ROWS``, each
     taken from column slices: each value of a chunk is formatted once, and
     each file gets one write per chunk.  Every file is written under a
-    temporary name and renamed into place once all are complete.  Returns the
+    temporary name and renamed into place once all are complete; if a write
+    or a rename fails, the temporary files left are removed.  Returns the
     list of written paths.
     """
     if fmt not in ("csv", "json"):
@@ -785,24 +780,29 @@ def emit(records, fmt, out):
         quantities += ("dual_velocity",)
     paths = [out] + [out.with_suffix(f".{q}.dat") for q in quantities]
     temps = [Path(f"{path}.tmp") for path in paths]
-    with contextlib.ExitStack() as stack:
-        main, *plots = [stack.enter_context(open(t, "w")) for t in temps]
-        if fmt == "json":
-            payload = [dict(zip(_FIELDS, row)) for row in zip(*records._lists(0, len(records)))]
-            main.write(json.dumps(payload, indent=1) + "\n")
-        else:
-            main.write(CSV_HEADER + "\n")
-        for start in range(0, len(records), _EMIT_ROWS):
-            ks, ns, *values = records._lists(start, start + _EMIT_ROWS, ("k", "ns", *quantities))
-            ks = list(map(str, ks))
-            texts = [[repr(float(v)) for v in column] for column in values]
-            if fmt == "csv":
-                rows = zip(ks, *texts[:len(_QUANTITIES)], map(str, ns))
-                main.write("\n".join(map(",".join, rows)) + "\n")
-            for plot, text in zip(plots, texts):
-                plot.write("".join([f"{k} {t}\n" for k, t in zip(ks, text)]))
-    for temp, path in zip(temps, paths):
-        temp.replace(path)
+    try:
+        with contextlib.ExitStack() as stack:
+            main, *plots = [stack.enter_context(open(t, "w")) for t in temps]
+            if fmt == "json":
+                data = [dict(zip(_FIELDS, row)) for row in zip(*records._lists(0, len(records)))]
+                main.write(json.dumps(data, indent=1) + "\n")
+            else:
+                main.write(CSV_HEADER + "\n")
+            for i in range(0, len(records), _EMIT_ROWS):
+                ks, ns, *values = records._lists(i, i + _EMIT_ROWS, ("k", "ns", *quantities))
+                ks = list(map(str, ks))
+                texts = [[repr(float(v)) for v in column] for column in values]
+                if fmt == "csv":
+                    rows = zip(ks, *texts[:len(_QUANTITIES)], map(str, ns))
+                    main.write("\n".join(map(",".join, rows)) + "\n")
+                for plot, text in zip(plots, texts):
+                    plot.write("".join([f"{k} {t}\n" for k, t in zip(ks, text)]))
+        for temp, path in zip(temps, paths):
+            temp.replace(path)
+    except BaseException:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
+        raise
     return paths
 
 

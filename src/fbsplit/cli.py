@@ -123,12 +123,13 @@ def cmd_solve(args):
 def cmd_compare(args):
     values = _file_values(args)
     method_specs = values.pop("methods", None)
-    if not (method_specs is None or isinstance(method_specs, list)
+    if not (method_specs is None or isinstance(method_specs, list) and method_specs
             and all(isinstance(spec, dict) for spec in method_specs)):
-        raise ConfigurationError(f"methods must be a list of objects, got {method_specs!r}")
-    if args.methods or not method_specs:
-        method_specs = [_parse_method_token(t)
-                        for t in (args.methods or "pd:5,pd:10,flag").split(",")]
+        raise ConfigurationError(
+            f"methods must be a non-empty list of objects, got {method_specs!r}")
+    if args.methods is not None or method_specs is None:
+        tokens = "pd:5,pd:10,flag" if args.methods is None else args.methods
+        method_specs = [_parse_method_token(t) for t in tokens.split(",")]
     configs = []
     for spec in method_specs:
         unknown = set(spec) - set(_SPEC_FIELDS)

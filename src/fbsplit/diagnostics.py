@@ -16,7 +16,6 @@ import numpy as np
 from .errors import ConfigurationError
 from .ffb import FfbParams, FfbState, _check_alpha, ffb_init, ffb_step_y
 from .linalg import inner
-from .operators import InclusionProblem
 
 __all__ = [
     "NuConstants",
@@ -181,14 +180,13 @@ def energy_E_expanded(eta, state: FfbState, z_star, params: FfbParams):
     )
 
 
-def energy_F(eta, epsilon, state: FfbState, z_star, params: FfbParams, c_curr):
-    """Regularized energy: E plus two forward-map correction terms.
-
-    ``c_curr`` is C at the current iterate, C(z_k).  When C is constant the
-    corrections vanish and F equals E.
+def energy_F(eta, epsilon, state: FfbState, z_star, params: FfbParams):
+    """Regularized energy: E plus two forward-map correction terms in
+    C(z_k) - C(z_{k-1}), from the images the state carries.  When C is
+    constant the corrections vanish and F equals E.
     """
     alpha, gamma, k, a, b, delta, d, t = _pieces(state, z_star, params)
-    dc = c_curr - state.c_prev
+    dc = state.c - state.c_prev
     r = a * k + alpha
     return (
         energy_E(eta, state, z_star, params)
@@ -231,7 +229,7 @@ def r_certificate(next_state: FfbState, params: FfbParams, nu: NuConstants):
     )
 
 
-def monotonicity_certificate(state: FfbState, z_star, problem: InclusionProblem):
+def monotonicity_certificate(state: FfbState, z_star):
     """<z_k - z*, xi_k + C(z_k)> with the carried C(z_k); nonnegative for any solution z*."""
     return inner(state.z - z_star, state.xi + state.c)
 
@@ -283,7 +281,7 @@ def energy_trajectory(problem, params: FfbParams, z_star, eta, epsilon, iters):
     f_vals = np.empty(iters)
     for i in range(iters):
         e_vals[i] = energy_E(eta, state, z_star, params)
-        f_vals[i] = energy_F(eta, epsilon, state, z_star, params, c_curr=state.c)
+        f_vals[i] = energy_F(eta, epsilon, state, z_star, params)
         if i + 1 < iters:
             state = ffb_step_y(state, problem, params)
     return e_vals, f_vals

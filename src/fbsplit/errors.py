@@ -1,5 +1,7 @@
 """Exceptions shared across the solvers and the benchmark harness."""
 
+__all__ = ["ConfigurationError", "DivergenceError"]
+
 
 class ConfigurationError(ValueError):
     """Raised when parameters violate a method's admissible range."""

@@ -142,13 +142,23 @@ def pd_default_steps(alpha, problem: PdProblem):
     pd's step rule, 1 < max_step_size(alpha, beta_P) with beta_P =
     beta*min(1/tau, 1/sigma)(1 - sqrt(tau*sigma*||A||^2)), reads at tau = sigma
     1/tau > ||A|| + (5alpha-2)/(8(alpha-1)beta); the formula keeps it strictly
-    for every alpha > 2, in a form that stays finite when beta is +inf.
+    for every alpha > 2, in a form that stays finite when beta is +inf
+    unless A = 0 too.
     """
     _check_alpha(alpha)
     margin = 1.0 - 0.99 * 3.0 * (alpha - 2.0) / (8.0 * (alpha - 1.0))
-    beta = problem.beta
-    tau = 0.99 / (problem.a_norm + (margin / beta if math.isfinite(beta) else 0.0))
+    tau = 0.99 / _step_denominator("tau and sigma", problem, problem.a_norm, margin)
     return PdParams(alpha=alpha, tau=tau, sigma=tau)
+
+
+def _step_denominator(steps, problem: PdProblem, a_term, margin):
+    """``a_term + margin/beta`` of a default step rule, refused naming the ``steps``
+    to give when it is 0 (A = 0 and beta = +inf)."""
+    denominator = a_term + (margin / problem.beta if math.isfinite(problem.beta) else 0.0)
+    if not denominator > 0:
+        raise ConfigurationError(f"{steps} must be given explicitly when ||A|| = 0 "
+                                 "and h has unbounded cocoercivity modulus")
+    return denominator
 
 
 @dataclass
@@ -314,10 +324,7 @@ class FlagParams:
 
 def flag_default_params(problem: PdProblem):
     """tau = beta/(beta*||A||^2 + 1)."""
-    beta = problem.beta
-    a2 = problem.a_norm**2
-    tau = 1.0 / (a2 + (1.0 / beta if math.isfinite(beta) else 0.0))
-    return FlagParams(tau=tau)
+    return FlagParams(tau=1.0 / _step_denominator("tau", problem, problem.a_norm**2, 1.0))
 
 
 @dataclass

@@ -80,7 +80,7 @@ def pd_run(bench_problem, pd_reference):
 @pytest.fixture(scope="session")
 def inclusion_z_star(bench_inclusion):
     """Long-run zero of the inclusion form, for energy diagnostics."""
-    return inclusion_reference(bench_inclusion, budget=200_000)
+    return inclusion_reference(bench_inclusion)
 
 
 @pytest.fixture(scope="session")

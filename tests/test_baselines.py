@@ -45,14 +45,14 @@ def test_default_schedules_fast_km_momentum():
 def test_fbs_hand_trace():
     prob = scalar_problem()
     method = BaselineMethod("fbs", gamma=1.0).resolve(prob)
-    state = baseline_init(method, prob, z0=np.array([2.0]))
+    state = baseline_init(prob, method, z0=np.array([2.0]))
     assert state.z[0] == pytest.approx(0.0)  # z1 = (1 - gamma) z0
-    state = baseline_step(method, state, prob)
+    state = baseline_step(state, prob, method)
     assert state.z[0] == pytest.approx(0.0)
     method_half = BaselineMethod("fbs", gamma=0.5).resolve(prob)
-    s = baseline_init(method_half, prob, z0=np.array([2.0]))
+    s = baseline_init(prob, method_half, z0=np.array([2.0]))
     assert s.z[0] == pytest.approx(1.0)
-    s = baseline_step(method_half, s, prob)
+    s = baseline_step(s, prob, method_half)
     assert s.z[0] == pytest.approx(0.5)
 
 
@@ -72,9 +72,9 @@ def _fixed_point_fixture():
 def test_fixed_points_stay_fixed(variant):
     prob, z_star = _fixed_point_fixture()
     method = BaselineMethod(variant, gamma=0.5 * prob.beta).resolve(prob)
-    state = baseline_init(method, prob, z0=z_star)
+    state = baseline_init(prob, method, z0=z_star)
     for _ in range(5):
-        state = baseline_step(method, state, prob)
+        state = baseline_step(state, prob, method)
         np.testing.assert_allclose(state.z, z_star, atol=1e-12)
 
 
@@ -82,32 +82,32 @@ def test_fixed_points_stay_fixed(variant):
 def test_proximal_variants_fixed_points(variant):
     prob = InclusionProblem(L1Subdifferential(), ZeroSmoothTerm())
     method = BaselineMethod(variant, gamma=0.7).resolve(prob)
-    state = baseline_init(method, prob, z0=np.zeros(3))
+    state = baseline_init(prob, method, z0=np.zeros(3))
     for _ in range(5):
-        state = baseline_step(method, state, prob)
+        state = baseline_step(state, prob, method)
         np.testing.assert_allclose(state.z, np.zeros(3), atol=1e-15)
 
 
 def test_lorenz_pock_evaluates_forward_map_at_extrapolation():
     prob = scalar_problem()
     method = BaselineMethod("lorenz_pock", gamma=0.5).resolve(prob)
-    state = baseline_init(method, prob, z0=np.array([1.0]))
+    state = baseline_init(prob, method, z0=np.array([1.0]))
     state.z_prev = np.array([0.0])  # force momentum
     alpha_1 = default_schedules("lorenz_pock", 1)["alpha_k"]
     y = 1.0 + alpha_1 * (1.0 - 0.0)
     expected = y - 0.5 * y  # J = Id, C(y) = y
-    out = baseline_step(method, state, prob)
+    out = baseline_step(state, prob, method)
     assert out.z[0] == pytest.approx(expected, rel=1e-14)
 
 
 def test_moudafi_oliny_evaluates_forward_map_at_iterate():
     prob = scalar_problem()
     method = BaselineMethod("moudafi_oliny", gamma=0.5).resolve(prob)
-    state = baseline_init(method, prob, z0=np.array([1.0]))
+    state = baseline_init(prob, method, z0=np.array([1.0]))
     state.z_prev = np.array([0.0])
     alpha_1 = default_schedules("moudafi_oliny", 1)["alpha_k"]
     expected = 1.0 + alpha_1 * 1.0 - 0.5 * 1.0  # C evaluated at z, not y
-    out = baseline_step(method, state, prob)
+    out = baseline_step(state, prob, method)
     assert out.z[0] == pytest.approx(expected, rel=1e-14)
 
 
@@ -115,12 +115,12 @@ def test_appm_hand_recursion():
     prob = InclusionProblem(L1Subdifferential(), ZeroSmoothTerm())
     method = BaselineMethod("appm", gamma=1.0).resolve(prob)
     z0 = np.array([4.0])
-    state = baseline_init(method, prob, z0=z0)
+    state = baseline_init(prob, method, z0=z0)
     # k=1: alpha_1 = 0, y1 = z1 = 4, z2 = soft(4, 1) = 3
-    state = baseline_step(method, state, prob)
+    state = baseline_step(state, prob, method)
     assert state.z[0] == pytest.approx(3.0)
     # k=2: alpha_2 = 1/3, y2 = z2 + (z2-z1)/3 + (y0-z1)/3 = 3 - 1/3
-    state = baseline_step(method, state, prob)
+    state = baseline_step(state, prob, method)
     assert state.z[0] == pytest.approx(3.0 - 1.0 / 3.0 - 1.0)
 
 

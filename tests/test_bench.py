@@ -459,6 +459,23 @@ def test_fit_rate_slope_excludes_nonpositive_and_needs_ten():
         fit_rate_slope(recs, "dual_velocity")  # None -> no usable rows
 
 
+def test_fit_rate_slope_leaves_out_rows_below_k_one():
+    # log 0 is -inf; the k = 0 row is not fitted, whatever k_min says
+    ks = np.arange(0, 12)
+    recs = Records(ks, 1.0 / (ks + 1.0), math.nan, math.nan, 0.0, 0.0, math.nan, 0, None)
+    fit = fit_rate_slope(recs, "velocity", k_min=0)
+    assert fit.points == 11 and fit.k_window == (1, 11)
+    assert fit.slope == fit_rate_slope(recs[1:], "velocity").slope
+
+
+def test_fit_rate_slope_refuses_rows_that_share_one_k():
+    ks = np.full(12, 5)
+    recs = Records(ks, 1.0 / np.arange(1.0, 13.0), math.nan, math.nan, 0.0, 0.0, math.nan,
+                   0, None)
+    with pytest.raises(ValueError, match="the 12 usable records for 'velocity' all have k = 5"):
+        fit_rate_slope(recs, "velocity")
+
+
 def _scalar_kkt_problem():
     """min |x| subject to x = 1: x* = 1, lam* = -1, objective 1."""
     return PdProblem(
@@ -674,7 +691,7 @@ def _fresh_record(state, problem, runner):
         rtan = float(np.linalg.norm(state.xi + inclusion.C.apply(z)))
     return dict(
         k=state.k, velocity=float(np.linalg.norm(z - state.z_prev)), rtan=rtan,
-        rfix=fixed_point_residual(z, inclusion, runner.gamma),
+        rfix=fixed_point_residual(z, inclusion, runner.params.gamma),
         objective=float(problem.h.value(z)),
         feasibility=float(np.linalg.norm(problem.A.apply(z) - problem.b)), gap=math.nan)
 
@@ -840,7 +857,7 @@ def test_certificates_read_the_images_the_state_carries(monkeypatch):
     for value, expected, products in (
             (lambda: objective_bounds(state, problem, x_star, lam_star), bounds, 2),
             (lambda: pd_zeta(state, problem, params), zeta, 1),
-            (lambda: monotonicity_certificate(z_state, z_star, incl), monotonicity, 0)):
+            (lambda: monotonicity_certificate(z_state, z_star), monotonicity, 0)):
         before = counter.count
         assert np.array_equal(value(), expected)
         assert counter.count - before == products

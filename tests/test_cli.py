@@ -763,3 +763,60 @@ def test_compare_rejects_jobs_below_one(tmp_path, capsys, jobs):
     assert code == cli.EXIT_CONFIG
     assert "configuration error:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_emit_removes_its_temporary_files_when_a_rename_fails(tmp_path, capsys):
+    out = tmp_path / "run"
+    out.mkdir()  # the CSV cannot replace a directory
+    code = cli.main(["solve", "--method", "ffb", "--m", "3", "--p", "4", "--n", "6",
+                     "--iters", "10", "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    assert "Is a directory" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run"]
+
+
+def _zero_instance(tmp_path):
+    """An instance file with A = 0 and B = 0, so ||A|| = 0 and beta = +inf,
+    where the default step rules would divide by 0."""
+    path = tmp_path / "zero.npz"
+    np.savez(path, A=np.zeros((2, 4)), b=np.zeros(2), B=np.zeros((3, 4)), c=np.ones(3))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv,steps", [
+    (["solve", "--method", "pd"], "tau and sigma"),
+    (["solve", "--method", "pd_alt", "--tau", "0.5"], "tau and sigma"),
+    (["solve", "--method", "flag"], "tau"),
+    (["compare", "--methods", "flag,pd:5"], "tau"),
+    (["reference"], "tau and sigma"),
+], ids=["pd", "pd_alt-one-step", "flag", "compare", "reference"])
+def test_no_default_step_on_an_instance_with_a_and_b_zero(tmp_path, capsys, argv, steps):
+    code = cli.main([*argv, "--problem-file", _zero_instance(tmp_path),
+                     "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"configuration error: {steps} must be given explicitly when ||A|| = 0 "
+        "and h has unbounded cocoercivity modulus\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--method", "pd", "--tau", "0.5", "--sigma", "0.5"],
+    ["solve", "--method", "flag", "--tau", "0.5"],
+    ["compare", "--methods", "pd_alt:3,pd:5", "--tau", "0.5", "--sigma", "0.5"],
+], ids=["pd", "flag", "compare"])
+def test_given_steps_run_on_an_instance_with_a_and_b_zero(tmp_path, argv):
+    code = cli.main([*argv, "--problem-file", _zero_instance(tmp_path), "--iters", "20",
+                     "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("values,extra,refusal", [
+    ({}, ["--methods", ""], "unknown method ''"),  # the one token "" names no method
+    ({"methods": []}, [], "methods must be a non-empty list of objects, got []"),
+], ids=["flag", "config-file"])
+def test_compare_refuses_an_empty_method_list_before_writing(tmp_path, capsys, values, extra,
+                                                             refusal):
+    code = _compare_with_config(tmp_path, values, *extra)
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"configuration error: {refusal}")
+    assert not (tmp_path / "out").exists()

@@ -114,7 +114,7 @@ def test_energy_zero_at_stationary_state():
                      xi=np.zeros(dim), c_prev=np.zeros(dim), c=np.zeros(dim))
     params = FfbParams(alpha=5.0, gamma=0.3)
     assert energy_E(1.0, state, z_star, params) == 0.0
-    assert energy_F(1.0, 0.2, state, z_star, params, c_curr=np.zeros(dim)) == 0.0
+    assert energy_F(1.0, 0.2, state, z_star, params) == 0.0
 
 
 def test_energy_eta_zero_keeps_only_quadratic_terms():
@@ -139,8 +139,9 @@ def test_energy_F_equals_E_for_constant_forward_map():
     params = FfbParams(alpha=4.0, gamma=0.7)
     state = _random_state(rng, k=5)
     state.c_prev = np.zeros(6)
+    state.c = prob.C.apply(state.z)
     z_star = rng.standard_normal(6)
-    f = energy_F(1.5, 0.3, state, z_star, params, c_curr=prob.C.apply(state.z))
+    f = energy_F(1.5, 0.3, state, z_star, params)
     e = energy_E(1.5, state, z_star, params)
     assert f == pytest.approx(e, rel=1e-14)
 

@@ -1,11 +1,15 @@
 """Each module's public surface stays honest: its ``__all__`` names only what
 the module binds, and it imports nothing it does not use.  Read from the
-source with ``ast``, so no linter is needed."""
+source with ``ast``, so no linter is needed.  The package holds each of
+those names once, as the module's own object."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
+
+import fbsplit
 
 _PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fbsplit"
 _MODULES = sorted(p for p in _PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -57,3 +61,14 @@ def test_no_module_level_import_goes_unused(path):
     used.update(_all_entries(tree))
     unused = {name: line for name, line in _imported_names(tree).items() if name not in used}
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def test_package_holds_every_module_all_once():
+    owners = {}
+    for path in _MODULES:
+        module = importlib.import_module(f"fbsplit.{path.stem}")
+        for name in getattr(module, "__all__", ()):
+            assert name not in owners, f"{name} exported by {owners.get(name)} and {path.stem}"
+            owners[name] = path.stem
+            assert getattr(fbsplit, name, None) is getattr(module, name), \
+                f"fbsplit.{name} is not {path.stem}.{name}"
